@@ -67,10 +67,10 @@ void Demo(BufferBackend backend, size_t column_bytes) {
   std::printf("VMAs backing the source column:    %8zu\n",
               vm::CountVmasInRange(buffer->data(), buffer->size()));
   const snapshot::BufferStats stats = buffer->stats();
-  std::printf("stats: %zu snapshots, %zu manual COW faults, %zu dirty "
-              "pages flushed\n",
+  std::printf("stats: %zu snapshots, %zu manual COW faults, %zu pages "
+              "first written between snapshots, %zu forced view copies\n",
               stats.snapshots_taken, stats.cow_faults,
-              stats.dirty_pages_flushed);
+              stats.dirty_pages_flushed, stats.forced_cow_pages);
 }
 
 }  // namespace

@@ -35,10 +35,11 @@ Status Database::EnsureExtentStore() {
 Status Database::SpillToBudget(uint64_t budget_bytes) {
   if (extent_store_ == nullptr) return Status::OK();
   std::lock_guard<std::mutex> guard(cold_mutex_);
-  return SpillToBudgetLocked(budget_bytes);
+  return SpillToBudgetLocked(budget_bytes, /*single_pass=*/false);
 }
 
-Status Database::SpillToBudgetLocked(uint64_t budget_bytes) {
+Status Database::SpillToBudgetLocked(uint64_t budget_bytes,
+                                     bool single_pass) {
   // One coarse LRU tick per pass: every segment touched since the last
   // pass reads as "this tick", everything older keeps its stamp.
   extent_store_->AdvanceClock();
@@ -73,7 +74,9 @@ Status Database::SpillToBudgetLocked(uint64_t budget_bytes) {
         resident -= std::min<uint64_t>(resident, cand.c.bytes);
       }
     }
-    if (resident <= budget_bytes || !progress) return Status::OK();
+    if (resident <= budget_bytes || !progress || single_pass) {
+      return Status::OK();
+    }
   }
 }
 
@@ -90,7 +93,8 @@ void Database::EnforceColdBudget() {
   if (resident <= config_.cold_budget_bytes) return;
   std::unique_lock<std::mutex> guard(cold_mutex_, std::try_to_lock);
   if (!guard.owns_lock()) return;  // Someone is already spilling/pruning.
-  const Status s = SpillToBudgetLocked(config_.cold_budget_bytes);
+  const Status s =
+      SpillToBudgetLocked(config_.cold_budget_bytes, /*single_pass=*/true);
   (void)s;  // Best effort: enforcement retries on the next release.
 }
 

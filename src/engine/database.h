@@ -406,10 +406,13 @@ class Database {
 
   /// Non-blocking budget enforcement (skipped when another spill or a
   /// checkpoint prune holds the cold mutex); runs after OLAP releases.
+  /// Makes one spill pass: concurrent writers fault segments back in, so
+  /// repeating passes until the budget holds could run forever.
   void EnforceColdBudget();
 
-  /// Spill pass body; caller holds cold_mutex_.
-  Status SpillToBudgetLocked(uint64_t budget_bytes);
+  /// Spill passes, repeated while they make progress (or just one with
+  /// `single_pass`); caller holds cold_mutex_.
+  Status SpillToBudgetLocked(uint64_t budget_bytes, bool single_pass);
 
   DatabaseConfig config_;
   storage::Catalog catalog_;

@@ -221,10 +221,11 @@ class ChainDirectory {
   /// relevant".
   Timestamp prev_seal_ts() const { return prev_seal_ts_; }
   /// Drops the link to the previous segment (when the previous epoch's
-  /// snapshot is retired and no reader can need it anymore).
-  void DropPrev() {
+  /// snapshot is retired and no reader can need it anymore). Returns the
+  /// dropped link so the caller can free the segment outside its latch.
+  std::shared_ptr<ChainDirectory> DropPrev() {
     prev_raw_.store(nullptr, std::memory_order_release);
-    prev_.reset();
+    return std::move(prev_);
   }
 
   /// Homogeneous-mode GC: unlinks every node with ts <= `min_active` from

@@ -39,11 +39,18 @@ class SnapshotView {
 struct BufferStats {
   size_t snapshots_taken = 0;
   size_t cow_faults = 0;        ///< Manual COW events (rewired backend).
-  size_t dirty_pages_flushed = 0;  ///< Write-back volume (vm_snapshot).
-  size_t forced_cow_pages = 0;  ///< Pages force-COWed in live views.
+  /// Pages first written between two snapshots (vm_snapshot).
+  size_t dirty_pages_flushed = 0;
+  /// Page copies forced into live views by a first write (vm_snapshot):
+  /// one per live view per first-written page.
+  size_t forced_cow_pages = 0;
   size_t pool_pages = 0;        ///< Pool pages allocated (rewired backend).
-  int64_t flush_nanos = 0;      ///< Total time in dirty write-back.
-  int64_t map_nanos = 0;        ///< Total time creating snapshot mappings.
+  /// Total time writing dirty data back at snapshot time. Stays 0: no
+  /// backend writes back (vm_snapshot's OLTP view maps its file shared).
+  int64_t flush_nanos = 0;
+  /// Total time creating snapshot mappings (vm_snapshot: the mmap, the
+  /// populate and the OLTP-view zap).
+  int64_t map_nanos = 0;
 };
 
 /// Abstract column-memory buffer with point-in-time snapshot support. The

@@ -3,7 +3,6 @@
 #include <sys/mman.h>
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/macros.h"
 #include "common/timer.h"
@@ -25,11 +24,9 @@ Status VmSnapshotBuffer::Init(size_t size) {
   if (!file.ok()) return file.status();
   file_ = file.TakeValue();
   num_pages_ = vm::PageCount(size);
-  num_slots_ = vm::RoundUpToPage(size) / sizeof(uint64_t);
   dirty_.Resize(num_pages_);
-  dirty_slots_.Resize(num_slots_);
-  auto view = vm::MapRegion::MapPrivateFile(file_.fd(), size, /*offset=*/0,
-                                            PROT_READ | PROT_WRITE);
+  auto view = vm::MapRegion::MapSharedFile(file_.fd(), size, /*offset=*/0,
+                                           PROT_READ | PROT_WRITE);
   if (!view.ok()) return view.status();
   oltp_view_ = view.TakeValue();
   data_ = oltp_view_.data();
@@ -46,12 +43,19 @@ VmSnapshotBuffer::~VmSnapshotBuffer() {
 void VmSnapshotBuffer::MarkDirty(size_t offset, size_t len) {
   if (len == 0) return;
   ANKER_CHECK(offset + len <= size_);
-  const size_t first = vm::PageIndex(offset);
+  size_t page = vm::PageIndex(offset);
   const size_t last = vm::PageIndex(offset + len - 1);
-  for (size_t p = first; p <= last; ++p) dirty_.Set(p);
-  const size_t first_slot = offset / sizeof(uint64_t);
-  const size_t last_slot = (offset + len - 1) / sizeof(uint64_t);
-  for (size_t s = first_slot; s <= last_slot; ++s) dirty_slots_.Set(s);
+  // Fast path: every page was already copied into the live views by an
+  // earlier write of this epoch.
+  while (page <= last && dirty_.Test(page)) ++page;
+  if (page > last) return;
+  std::lock_guard<std::mutex> guard(views_mutex_);
+  for (; page <= last; ++page) {
+    if (dirty_.Test(page)) continue;
+    dirty_.Set(page);
+    for (VmSnapshotView* view : live_views_) view->CopyPage(page);
+    forced_cow_pages_ += live_views_.size();
+  }
 }
 
 Status VmSnapshotBuffer::ReleaseRange(size_t offset, size_t len) {
@@ -66,100 +70,61 @@ Status VmSnapshotBuffer::ReleaseRange(size_t offset, size_t len) {
     // release simply frees nothing this round.
     if (!live_views_.empty()) return Status::OK();
   }
-  // The range's content becomes zeros in both the private view and the
-  // file, so pending dirt in it has nothing left to flush.
-  const size_t first_page = vm::PageIndex(offset);
-  const size_t last_page = vm::PageIndex(offset + rlen - 1);
-  for (size_t p = first_page; p <= last_page; ++p) dirty_.Clear(p);
-  const size_t first_slot = offset / sizeof(uint64_t);
-  const size_t end_slot = (offset + rlen) / sizeof(uint64_t);
-  for (size_t s = first_slot; s < end_slot; ++s) dirty_slots_.Clear(s);
-  ANKER_RETURN_IF_ERROR(oltp_view_.DontNeed(offset, rlen));
+  // The punch also unmaps the range from the shared OLTP view.
   return file_.PunchHole(static_cast<off_t>(offset), rlen);
 }
 
-Status VmSnapshotBuffer::FlushDirtyPages() {
-  if (dirty_.count() == 0) return Status::OK();
-  Timer flush_timer;
-
-  // 1. Live snapshot views still resolve these pages from the file; give
-  //    them private copies before the file content changes underneath.
-  {
-    std::lock_guard<std::mutex> guard(views_mutex_);
-    for (VmSnapshotView* view : live_views_) {
-      ANKER_RETURN_IF_ERROR(view->ForceCowPages(dirty_));
-      forced_cow_pages_ += dirty_.count();
+Status VmSnapshotBuffer::ZapCleanPages() {
+  for (size_t page = 0; page < num_pages_;) {
+    if (dirty_.Test(page)) {
+      ++page;
+      continue;
     }
+    size_t end = page + 1;
+    while (end < num_pages_ && !dirty_.Test(end)) ++end;
+    ANKER_RETURN_IF_ERROR(
+        oltp_view_.DontNeed(page * kPageSize, (end - page) * kPageSize));
+    page = end;
   }
-
-  // 2. Write the current content back to the file and 3. drop the now
-  //    duplicated anonymous pages from the OLTP view so future reads hit
-  //    the (identical) file pages and memory consumption stays bounded.
-  //    Dense dirt (> 1/4 of the pages, the common case under a paper-style
-  //    update stream) is flushed as ONE bulk write + ONE madvise: clean
-  //    pages are rewritten with identical bytes, which no reader can
-  //    observe, and the per-page syscall overhead disappears.
-  if (dirty_.count() * 4 >= num_pages_) {
-    // Dense: one bulk write (clean pages are rewritten with identical
-    // bytes, unobservable) and one madvise.
-    ANKER_RETURN_IF_ERROR(file_.WriteAt(data_, size_, /*offset=*/0));
-    ANKER_RETURN_IF_ERROR(oltp_view_.DontNeed(0, size_));
-  } else {
-    // Sparse: write back only the modified 8-byte slots — the volume is
-    // O(bytes written since the last snapshot), the closest a user-space
-    // emulation gets to the real call's "no data copied at all".
-    Status write_status = Status::OK();
-    dirty_slots_.ForEachRun([&](size_t first_slot, size_t nslots) {
-      if (!write_status.ok()) return;
-      write_status = file_.WriteAt(
-          data_ + first_slot * sizeof(uint64_t), nslots * sizeof(uint64_t),
-          static_cast<off_t>(first_slot * sizeof(uint64_t)));
-    });
-    ANKER_RETURN_IF_ERROR(write_status);
-    Status madvise_status = Status::OK();
-    dirty_.ForEachRun([&](size_t first_page, size_t npages) {
-      if (!madvise_status.ok()) return;
-      madvise_status =
-          oltp_view_.DontNeed(first_page * kPageSize, npages * kPageSize);
-    });
-    ANKER_RETURN_IF_ERROR(madvise_status);
-  }
-
-  dirty_pages_flushed_ += dirty_.count();
-  dirty_.Reset();
-  dirty_slots_.Reset();
-  flush_nanos_ += flush_timer.ElapsedNanos();
   return Status::OK();
 }
 
+void VmSnapshotBuffer::StartEpoch(VmSnapshotView* new_view,
+                                  int64_t map_nanos) {
+  std::lock_guard<std::mutex> guard(views_mutex_);
+  if (new_view != nullptr) live_views_.push_back(new_view);
+  ++snapshots_taken_;
+  dirty_pages_flushed_ += dirty_.count();
+  dirty_.Reset();
+  map_nanos_ += map_nanos;
+}
+
 Result<std::unique_ptr<SnapshotView>> VmSnapshotBuffer::TakeSnapshot() {
-  ANKER_RETURN_IF_ERROR(FlushDirtyPages());
-  // The emulated system call: one mmap creates the shared, COW-isolated
-  // duplicate of the whole area. MAP_POPULATE fills the PTEs eagerly,
-  // matching the state the real vm_snapshot leaves behind (it copies the
-  // source's PTEs), so scans on the snapshot pay no soft faults.
+  // The emulated system call: one mmap creates the COW-isolated duplicate
+  // of the whole area, and the populate fills its PTEs with the file's
+  // (current) pages. Nothing is copied until the next first write.
   Timer map_timer;
   auto region = vm::MapRegion::MapPrivateFile(file_.fd(), size_, /*offset=*/0,
-                                              PROT_READ, /*populate=*/true);
-  map_nanos_ += map_timer.ElapsedNanos();
+                                              PROT_READ | PROT_WRITE);
   if (!region.ok()) return region.status();
+  ANKER_RETURN_IF_ERROR(region.value().PopulateRead());
+  ANKER_RETURN_IF_ERROR(ZapCleanPages());
   auto* view = new VmSnapshotView(this, region.TakeValue());
-  {
-    std::lock_guard<std::mutex> guard(views_mutex_);
-    live_views_.push_back(view);
-  }
-  ++snapshots_taken_;
+  StartEpoch(view, map_timer.ElapsedNanos());
   return std::unique_ptr<SnapshotView>(view);
 }
 
 Status VmSnapshotBuffer::TakeSnapshotInto(VmSnapshotView* recycled) {
   ANKER_CHECK(recycled != nullptr && recycled->buffer_ == this);
-  ANKER_RETURN_IF_ERROR(FlushDirtyPages());
   // Recycle the existing virtual memory area (vm_snapshot's dst_addr form):
   // a MAP_FIXED private mapping replaces the old snapshot in place.
+  Timer map_timer;
   ANKER_RETURN_IF_ERROR(vm::MapRegion::MapFixedPrivate(
-      recycled->region_.data(), file_.fd(), size_, /*offset=*/0, PROT_READ));
-  ++snapshots_taken_;
+      recycled->region_.data(), file_.fd(), size_, /*offset=*/0,
+      PROT_READ | PROT_WRITE));
+  ANKER_RETURN_IF_ERROR(recycled->region_.PopulateRead());
+  ANKER_RETURN_IF_ERROR(ZapCleanPages());
+  StartEpoch(/*new_view=*/nullptr, map_timer.ElapsedNanos());
   return Status::OK();
 }
 
@@ -178,42 +143,26 @@ size_t VmSnapshotBuffer::LiveViewCount() const {
 }
 
 BufferStats VmSnapshotBuffer::stats() const {
+  std::lock_guard<std::mutex> guard(views_mutex_);
   BufferStats s;
   s.snapshots_taken = snapshots_taken_;
   s.dirty_pages_flushed = dirty_pages_flushed_;
   s.forced_cow_pages = forced_cow_pages_;
-  s.flush_nanos = flush_nanos_;
   s.map_nanos = map_nanos_;
   return s;
 }
 
 VmSnapshotView::~VmSnapshotView() { buffer_->UnregisterView(this); }
 
-Status VmSnapshotView::ForceCowPages(const Bitmap& pages) {
-  // Temporarily allow writes, rewrite each dirty page with its own bytes
-  // (forcing the OS to materialize a private copy), then drop back to
-  // read-only. Concurrent readers of the view observe identical values
-  // throughout: every 8-byte word is rewritten with itself atomically.
-  ANKER_RETURN_IF_ERROR(region_.Protect(PROT_READ | PROT_WRITE));
-  pages.ForEachRun([&](size_t first_page, size_t npages) {
-    const size_t nwords = npages * kPageSize / sizeof(uint64_t);
-    for (size_t i = 0; i < nwords; i += kPageSize / sizeof(uint64_t)) {
-      // One word per page is enough to trigger the copy-on-write; the OS
-      // copies the whole page. Under TSan the self-rewrite is issued as
-      // an atomic no-op RMW: scans on this view may race it by design
-      // (same intentional-race class as RawSlotLoad), and the value
-      // never changes, so only unintended races should be reported.
-      uint64_t* word = reinterpret_cast<uint64_t*>(
-          region_.data() + (first_page * kPageSize) + i * sizeof(uint64_t));
-#ifdef ANKER_TSAN
-      __atomic_fetch_add(word, 0, __ATOMIC_RELAXED);
-#else
-      volatile uint64_t* vword = word;
-      *vword = *vword;
-#endif
-    }
-  });
-  return region_.Protect(PROT_READ);
+void VmSnapshotView::CopyPage(size_t page) {
+  // Store the page's first word onto itself: the write fault makes the OS
+  // copy the page. Scans on this view may race the store by design (same
+  // intentional-race class as RawSlotLoad) and the value never changes,
+  // hence relaxed atomics; volatile keeps the store from being elided.
+  volatile uint64_t* word =
+      reinterpret_cast<uint64_t*>(region_.data() + page * kPageSize);
+  __atomic_store_n(word, __atomic_load_n(word, __ATOMIC_RELAXED),
+                   __ATOMIC_RELAXED);
 }
 
 }  // namespace anker::snapshot

@@ -19,28 +19,25 @@ class VmSnapshotView;
 /// that source and snapshot share physical pages with OS-handled COW.
 ///
 /// Emulation scheme (see docs/ARCHITECTURE.md §2):
-///  - The column's committed-at-last-snapshot image lives in a memfd.
-///  - The writable (OLTP) view is a single MAP_PRIVATE mapping of that
-///    file: writes COW into anonymous pages handled entirely by the OS —
-///    no mprotect, no signal handler (this is what makes writes ~6x
-///    cheaper than rewiring in Figure 5b).
-///  - The engine reports written ranges through MarkDirty (all writes flow
-///    through the storage layer), so no fault tracking is needed.
-///  - TakeSnapshot():
-///      1. force-COW the dirty pages in every live snapshot view (they
-///         still reference the stale file pages about to be overwritten);
-///      2. write the modified bytes back to the memfd — at *slot* (8-byte)
-///         granularity when dirt is sparse, so the copied volume is
-///         O(bytes written), or as one bulk write when most pages are
-///         dirty anyway;
-///      3. drop the now-duplicated anonymous pages from the OLTP view
-///         (madvise MADV_DONTNEED per run) so memory use stays flat;
-///      4. map the new snapshot view: ONE read-only MAP_PRIVATE mmap with
-///         MAP_POPULATE (the real system call copies PTEs, leaving the
-///         snapshot fault-free too).
-///    Cost: O(slots dirtied since the last snapshot), independent of the
-///    buffer's lifetime write history — the property that makes Figure 5a
-///    flat for vm_snapshot while rewiring degrades with VMA count.
+///  - The column's current content lives in a memfd. The writable (OLTP)
+///    view is ONE MAP_SHARED mapping of it, so the file is always current
+///    and a snapshot has nothing to write back.
+///  - TakeSnapshot() maps ONE read-write MAP_PRIVATE view of the file and
+///    prefaults its PTEs with MADV_POPULATE_READ (the state the real call
+///    leaves behind after copying the PTEs). No data is copied.
+///  - MarkDirty runs before every store and is the copy-on-write hook: on
+///    the first write to a page since the last snapshot it stores one word
+///    of that page onto itself in every live view, so the OS copies the
+///    page into each view before the shared file page changes. Writers are
+///    serialized by the caller (SnapshotableBuffer's write contract), so
+///    nothing can change the page between that copy and the store.
+///  - Each snapshot also drops the OLTP view's PTEs over the pages not
+///    written since the previous snapshot (MADV_DONTNEED on a shared
+///    mapping frees no data), so a column OLTP only reads is not mapped
+///    by the OLTP view and by every snapshot view at once.
+///    Cost: one mmap, one populate and the zap — independent of the
+///    buffer's write history, which keeps Figure 5a flat for vm_snapshot
+///    while rewiring degrades with VMA count.
 ///
 /// Like the real system call, the snapshot can also be materialized into a
 /// previously returned view's virtual memory area ("recycling",
@@ -52,12 +49,11 @@ class VmSnapshotBuffer : public SnapshotableBuffer {
 
   void MarkDirty(size_t offset, size_t len) override;
 
-  /// Drops the range's private COW copies, punches the backing memfd
-  /// pages, and clears its dirty tracking (the content becomes zeros —
-  /// there is nothing left to flush). Refuses (returns OK without
-  /// releasing) while snapshot views are live: their pages alias the
-  /// file's. Caller holds the column latch exclusively, which also
-  /// excludes TakeSnapshot and all dirty-tracking writers.
+  /// Punches the range out of the backing memfd (the content becomes
+  /// zeros). Refuses (returns OK without releasing) while snapshot views
+  /// are live: their uncopied pages alias the file's. Caller holds the
+  /// column latch exclusively, which also excludes TakeSnapshot and all
+  /// writers.
   Status ReleaseRange(size_t offset, size_t len) override;
 
   Result<std::unique_ptr<SnapshotView>> TakeSnapshot() override;
@@ -70,7 +66,8 @@ class VmSnapshotBuffer : public SnapshotableBuffer {
 
   BufferStats stats() const override;
 
-  /// Pages currently marked dirty (will be flushed by the next snapshot).
+  /// Pages first written since the last snapshot (already copied into
+  /// every live view).
   size_t DirtyPageCount() const;
 
   /// Number of live snapshot views (for tests).
@@ -82,25 +79,29 @@ class VmSnapshotBuffer : public SnapshotableBuffer {
   VmSnapshotBuffer() = default;
   Status Init(size_t size);
 
-  /// Steps 1-3 above; leaves the memfd holding the current content.
-  Status FlushDirtyPages();
+  /// Drops the OLTP view's PTEs over the pages not written since the
+  /// previous snapshot.
+  Status ZapCleanPages();
+
+  /// Registers `new_view` (nullptr when recycling a registered one),
+  /// starts a new dirty epoch and accounts the snapshot.
+  void StartEpoch(VmSnapshotView* new_view, int64_t map_nanos);
 
   void UnregisterView(VmSnapshotView* view);
 
   vm::Memfd file_;
   vm::MapRegion oltp_view_;
   size_t num_pages_ = 0;
-  size_t num_slots_ = 0;
-  Bitmap dirty_;        ///< Page granularity: view force-COW + madvise.
-  Bitmap dirty_slots_;  ///< 8-byte granularity: minimal write-back volume.
+  Bitmap dirty_;  ///< Pages first written since the last snapshot.
 
+  /// Guards the view list and the counters below (stats() reads them from
+  /// other threads).
   mutable std::mutex views_mutex_;
   std::vector<VmSnapshotView*> live_views_;
 
   size_t snapshots_taken_ = 0;
   size_t dirty_pages_flushed_ = 0;
   size_t forced_cow_pages_ = 0;
-  int64_t flush_nanos_ = 0;
   int64_t map_nanos_ = 0;
 };
 
@@ -118,10 +119,10 @@ class VmSnapshotView : public SnapshotView {
         buffer_(buffer),
         region_(std::move(region)) {}
 
-  /// Force-COWs [page, page+1) so the view keeps the current file content
-  /// even after the file page is overwritten. Rewrites the page's bytes
-  /// with themselves under temporary PROT_WRITE.
-  Status ForceCowPages(const Bitmap& pages);
+  /// Makes the OS copy `page` into this view (a no-op once the view holds
+  /// a private copy), so the view keeps its content when the shared file
+  /// page is overwritten.
+  void CopyPage(size_t page);
 
   VmSnapshotBuffer* buffer_;
   vm::MapRegion region_;

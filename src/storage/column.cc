@@ -47,6 +47,9 @@ uint64_t Column::ApplyCommittedWrite(size_t row, uint64_t new_raw,
 Result<ColumnSnapshot> Column::MaterializeSnapshot(
     mvcc::Timestamp epoch_ts, mvcc::Timestamp seal_ts,
     mvcc::Timestamp min_active_ts) {
+  // A chain segment cut below is freed only after the guard is released:
+  // freeing its blocks and arena must not keep committers waiting.
+  std::shared_ptr<mvcc::ChainDirectory> dropped;
   // Exclusive latch: drains and blocks updaters for the duration of the
   // snapshot (paper Section 2.2.3).
   ExclusiveGuard guard(latch_);
@@ -82,10 +85,10 @@ Result<ColumnSnapshot> Column::MaterializeSnapshot(
   // column never needs to descend into it (or anything older): cut the
   // link so retiring the snapshot really frees the chains.
   if (min_active_ts >= sealed->seal_ts()) {
-    versions_->current()->DropPrev();
+    dropped = versions_->current()->DropPrev();
   } else if (sealed->prev() != nullptr &&
              min_active_ts >= sealed->prev()->seal_ts()) {
-    sealed->DropPrev();
+    dropped = sealed->DropPrev();
   }
   return snap;
 }

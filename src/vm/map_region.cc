@@ -7,6 +7,10 @@
 
 #include "vm/page.h"
 
+#ifndef MADV_POPULATE_READ
+#define MADV_POPULATE_READ 22  // Linux 5.14+; older C libraries lack it.
+#endif
+
 namespace anker::vm {
 
 namespace {
@@ -55,10 +59,9 @@ Result<MapRegion> MapRegion::MapSharedFile(int fd, size_t size, off_t offset,
 }
 
 Result<MapRegion> MapRegion::MapPrivateFile(int fd, size_t size, off_t offset,
-                                            int prot, bool populate) {
+                                            int prot) {
   const size_t rounded = RoundUpToPage(size);
-  const int flags = MAP_PRIVATE | (populate ? MAP_POPULATE : 0);
-  void* addr = ::mmap(nullptr, rounded, prot, flags, fd, offset);
+  void* addr = ::mmap(nullptr, rounded, prot, MAP_PRIVATE, fd, offset);
   if (addr == MAP_FAILED) return ErrnoStatus("mmap(private file)");
   return MapRegion(addr, rounded);
 }
@@ -95,6 +98,16 @@ Status MapRegion::DontNeed(size_t offset, size_t len) {
   ANKER_CHECK(offset + len <= size_);
   if (::madvise(data() + offset, len, MADV_DONTNEED) != 0) {
     return ErrnoStatus("madvise(DONTNEED)");
+  }
+  return Status::OK();
+}
+
+Status MapRegion::PopulateRead() {
+  if (::madvise(addr_, size_, MADV_POPULATE_READ) == 0) return Status::OK();
+  if (errno != EINVAL) return ErrnoStatus("madvise(POPULATE_READ)");
+  // Kernels before 5.14 lack the advice: read-fault every page instead.
+  for (size_t offset = 0; offset < size_; offset += kPageSize) {
+    (void)*static_cast<volatile const uint8_t*>(data() + offset);
   }
   return Status::OK();
 }

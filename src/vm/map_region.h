@@ -32,12 +32,9 @@ class MapRegion {
   /// Maps `size` bytes of file `fd` at file offset `offset` with MAP_PRIVATE
   /// semantics: stores trigger OS copy-on-write into anonymous pages; the
   /// file is never modified through this mapping. This is the sharing
-  /// primitive behind the emulated vm_snapshot. With `populate`, the page
-  /// table entries are filled eagerly (MAP_POPULATE) — the same state the
-  /// real vm_snapshot call leaves behind after copying the PTEs, so
-  /// snapshot scans pay no per-page soft faults.
+  /// primitive behind the emulated vm_snapshot.
   static Result<MapRegion> MapPrivateFile(int fd, size_t size, off_t offset,
-                                          int prot, bool populate = false);
+                                          int prot);
 
   /// Remaps `size` bytes of `fd` at `offset` over [addr, addr+size) using
   /// MAP_FIXED (replacing whatever was there). Used by rewiring to redirect
@@ -54,8 +51,16 @@ class MapRegion {
   Status ProtectRange(size_t offset, size_t len, int prot);
 
   /// madvise(MADV_DONTNEED) on a sub-range: drops private anonymous COW
-  /// copies so subsequent reads fault back in from the backing file.
+  /// copies so subsequent reads fault back in from the backing file. On a
+  /// shared mapping it drops page-table entries only; no data is freed.
   Status DontNeed(size_t offset, size_t len);
+
+  /// Fills every page-table entry of the area for reading
+  /// (MADV_POPULATE_READ) — the state the real vm_snapshot call leaves
+  /// behind after copying the PTEs, so snapshot scans pay no per-page soft
+  /// faults. Unlike MAP_POPULATE on a writable private mapping, it maps the
+  /// file pages shared instead of copying each one.
+  Status PopulateRead();
 
   uint8_t* data() const { return static_cast<uint8_t*>(addr_); }
   size_t size() const { return size_; }

@@ -1,11 +1,15 @@
 // The cold tier end to end at engine level: spill + transparent read-back,
 // the incremental checkpoint path (unchanged segments referenced by extent
 // id, dirty segments republished), recovery resolving the manifest's
-// extent section, and the config validation around the new knobs.
+// extent section, budget enforcement under concurrent writers, and the
+// config validation around the new knobs.
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -162,6 +166,71 @@ TEST_P(ColdTierTest, RecoveryResolvesExtentBackedCheckpoints) {
     ASSERT_TRUE(again.ok()) << again.status().ToString();
     EXPECT_GT(again.value().extent_bytes_reused, 0u);
   }
+  db->Stop();
+}
+
+TEST_P(ColdTierTest, FinishOlapEnforcementReturnsUnderConcurrentWriters) {
+  // FinishOlap enforces the budget with one spill pass. Repeating passes
+  // while they make progress never ends under writers: their reads fault
+  // spilled segments back in, so every pass finds something to spill
+  // again, and their writes re-dirty segments, so every pass republishes
+  // extents — long enough for the reads to fault more segments in.
+  constexpr size_t kSegments = 64;
+  constexpr size_t kWriters = 2;
+  constexpr auto kWriterLifetime = std::chrono::seconds(30);
+  DatabaseConfig config = ColdConfig();
+  config.durability = wal::DurabilityMode::kLazy;  // No fsync per commit.
+  auto db = std::make_unique<Database>(config);
+  auto created = db->CreateTable("ledger",
+                                 {{"balance", storage::ValueType::kInt64},
+                                  {"amount", storage::ValueType::kInt64},
+                                  {"price", storage::ValueType::kInt64},
+                                  {"qty", storage::ValueType::kInt64}},
+                                 kSegments * kSegmentRows);
+  ASSERT_TRUE(created.ok());
+  storage::Table* table = created.value();
+  storage::Column* balance = table->GetColumn("balance");
+  storage::Column* amount = table->GetColumn("amount");
+  const storage::Column* read_columns[kWriters] = {table->GetColumn("price"),
+                                                   table->GetColumn("qty")};
+  db->Start();
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> writer_expired{false};
+  std::vector<std::thread> writers;
+  for (size_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      const auto deadline =
+          std::chrono::steady_clock::now() + kWriterLifetime;
+      for (int64_t i = 0; !stop.load(); ++i) {
+        if (std::chrono::steady_clock::now() > deadline) {
+          writer_expired.store(true);
+          return;
+        }
+        auto txn = db->BeginOltp();
+        for (size_t seg = 0; seg < kSegments; ++seg) {
+          // Faults the segment back in when a spill pass evicted it.
+          txn->Read(read_columns[w], seg * kSegmentRows);
+          txn->Write(amount, seg * kSegmentRows + w, storage::EncodeInt64(i));
+        }
+        (void)db->Commit(txn.get());
+      }
+    });
+  }
+
+  // EXPECT, not ASSERT: the writers must be joined on every path.
+  for (int round = 0; round < 3; ++round) {
+    auto ctx = db->BeginOlap({balance});
+    EXPECT_TRUE(ctx.ok()) << ctx.status().ToString();
+    if (ctx.ok()) {
+      EXPECT_TRUE(db->FinishOlap(ctx.TakeValue()).ok());
+    }
+  }
+  stop.store(true);
+  for (std::thread& writer : writers) writer.join();
+  EXPECT_FALSE(writer_expired.load())
+      << "FinishOlap kept spilling for the writers' whole lifetime";
+  EXPECT_GT(db->cold_stats().counters.segments_evicted, 0u);
   db->Stop();
 }
 

@@ -3,7 +3,10 @@
 // COW, emulated vm_snapshot), the observable semantics must not.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -123,6 +126,78 @@ TEST_P(BufferPropertyTest, WholeBufferContentEquality) {
     buffer->StoreU64(offset, rng.Next());
   }
   EXPECT_EQ(memcmp(snap.value()->data(), before.data(), before.size()), 0);
+}
+
+/// Checksum of a view's content. Relaxed atomic loads: the view's backend
+/// may rewrite words with their own value while the view is scanned.
+uint64_t Checksum(const SnapshotView& view) {
+  const auto* words = reinterpret_cast<const uint64_t*>(view.data());
+  uint64_t sum = 0;
+  for (size_t i = 0; i < view.size() / sizeof(uint64_t); ++i) {
+    sum = sum * 31 + __atomic_load_n(words + i, __ATOMIC_RELAXED);
+  }
+  return sum;
+}
+
+TEST_P(BufferPropertyTest, LiveViewsStayFrozenUnderConcurrentWrites) {
+  // One writer stores random slots and takes and drops snapshots; reader
+  // threads keep re-checksumming every live view against the checksum
+  // recorded when the view was created.
+  auto buffer = MakeBuffer(16 * kPageSize);
+  const size_t num_slots = buffer->size() / sizeof(uint64_t);
+  struct Frozen {
+    std::shared_ptr<const SnapshotView> view;
+    uint64_t checksum;
+  };
+  std::mutex live_mutex;
+  std::vector<Frozen> live;  // Guarded by live_mutex.
+  std::atomic<bool> done{false};
+  std::atomic<size_t> mismatches{0};
+  std::atomic<size_t> checks{0};
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load()) {
+        std::vector<Frozen> views;
+        {
+          std::lock_guard<std::mutex> guard(live_mutex);
+          views = live;
+        }
+        for (const Frozen& frozen : views) {
+          if (Checksum(*frozen.view) != frozen.checksum) ++mismatches;
+          ++checks;
+        }
+      }
+    });
+  }
+
+  Rng rng(505 + static_cast<uint64_t>(GetParam()));
+  // Keep writing until the readers have overlapped a good number of
+  // checks: on a loaded machine they may start only after many rounds.
+  for (int round = 0; round < 60 || checks.load() < 200; ++round) {
+    for (int i = 0; i < 200; ++i) {
+      buffer->StoreU64(rng.NextBounded(num_slots) * sizeof(uint64_t),
+                       rng.Next());
+    }
+    auto snap = buffer->TakeSnapshot();
+    if (!snap.ok()) {
+      ADD_FAILURE() << snap.status().ToString();
+      break;  // The readers must still be joined.
+    }
+    std::shared_ptr<const SnapshotView> view = snap.TakeValue();
+    const uint64_t checksum = Checksum(*view);
+    std::lock_guard<std::mutex> guard(live_mutex);
+    live.push_back({std::move(view), checksum});
+    if (live.size() > 4) {
+      // Drop a random view; a reader may hold the last reference.
+      live.erase(live.begin() +
+                 static_cast<long>(rng.NextBounded(live.size())));
+    }
+  }
+  done.store(true);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 TEST_P(BufferPropertyTest, SizeRoundsUpToWholePages) {
