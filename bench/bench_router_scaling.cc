@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/wire_outcomes.h"
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "common/timer.h"
@@ -43,9 +44,8 @@ namespace anker {
 namespace {
 
 struct ConnResult {
-  uint64_t commits = 0;
-  uint64_t errors = 0;
-  Histogram latency;  ///< Nanos per acked EXEC_TXN round trip.
+  bench::WireOutcomes outcomes;
+  Histogram latency;  ///< Nanos per EXEC_TXN round trip.
 };
 
 /// One client connection against the router: `txns` pipelined EXEC_TXN
@@ -67,17 +67,11 @@ ConnResult RunConnection(uint16_t router_port, size_t txns,
   std::deque<Timer> outstanding;
   auto reap_one = [&]() {
     auto response = client->ReceiveOne();
-    ANKER_CHECK_MSG(response.ok(), "bench client lost the router");
+    if (!response.ok()) return false;
     result.latency.Record(outstanding.front().ElapsedNanos());
     outstanding.pop_front();
-    const server::Op op = response.value().empty()
-                              ? server::Op::kErr
-                              : static_cast<server::Op>(response.value()[0]);
-    if (op == server::Op::kOk || op == server::Op::kCommitOk) {
-      ++result.commits;
-    } else {
-      ++result.errors;  // Aborts and BUSY both land here.
-    }
+    result.outcomes.Record(response.value());
+    return true;
   };
 
   for (size_t t = 0; t < txns; ++t) {
@@ -104,17 +98,20 @@ ConnResult RunConnection(uint16_t router_port, size_t txns,
     }
     std::string payload;
     server::EncodeWriteBatch(server::Op::kExecTxn, writes, &payload);
-    ANKER_CHECK(client->SendOnly(payload).ok());
+    if (!client->SendOnly(payload).ok()) break;
     outstanding.emplace_back();
-    if (outstanding.size() >= pipeline) reap_one();
+    if (outstanding.size() >= pipeline && !reap_one()) break;
   }
-  while (!outstanding.empty()) reap_one();
+  while (!outstanding.empty() && reap_one()) {
+  }
+  // A lost connection fails every transaction it never answered.
+  result.outcomes.unexpected +=
+      txns - result.outcomes.commits - result.outcomes.failures();
   return result;
 }
 
 struct ClusterResult {
-  uint64_t commits = 0;
-  uint64_t errors = 0;
+  bench::WireOutcomes outcomes;
   double seconds = 0;
   double p50_us = 0;
   double p99_us = 0;
@@ -214,8 +211,7 @@ ClusterResult RunCluster(size_t num_shards, size_t rows, size_t connections,
   out.seconds = wall.ElapsedSeconds();
   Histogram latency;
   for (ConnResult& r : results) {
-    out.commits += r.commits;
-    out.errors += r.errors;
+    out.outcomes.Merge(r.outcomes);
     latency.Merge(r.latency);
   }
   out.p50_us = latency.Percentile(50) / 1e3;
@@ -325,9 +321,10 @@ int main(int argc, char** argv) {
     points.push_back({max_shards, cross_shard_pct});
   }
 
-  std::printf("%8s %6s %6s %12s %12s %12s %8s %10s %10s %10s\n", "shards",
-              "xs%", "rep", "commits", "ktps", "passthrough", "2pc",
-              "p50 [us]", "p99 [us]", "errors");
+  std::printf("%8s %6s %6s %12s %12s %12s %8s %10s %10s %8s %6s %6s\n",
+              "shards", "xs%", "rep", "commits", "ktps", "passthrough", "2pc",
+              "p50 [us]", "p99 [us]", "aborts", "busy", "unexp");
+  uint64_t unexpected_errors = 0;
   std::vector<ClusterResult> best(points.size());
   std::vector<double> best_ktps(points.size(), 0.0);
   for (size_t rep = 0; rep < repeats; ++rep) {
@@ -336,29 +333,34 @@ int main(int argc, char** argv) {
           RunCluster(points[p].shards, rows, connections, txns_per_conn,
                      writes_per_txn, pipeline, shard_workers, points[p].pct,
                      mode, data_dirs);
-      const double ktps = r.commits / r.seconds / 1000.0;
+      const uint64_t commits = r.outcomes.commits;
+      const double ktps = commits / r.seconds / 1000.0;
+      unexpected_errors += r.outcomes.unexpected;
       if (points[p].pct == 0) {
         // Every acked commit went through the 1-RTT pass-through path;
         // a counter short-fall would mean the router silently
         // re-planned them.
-        ANKER_CHECK_MSG(r.passthrough_txns >= r.commits,
+        ANKER_CHECK_MSG(r.passthrough_txns >= commits,
                         "commits bypassed the pass-through path");
       } else {
         // Mixed mode: each commit was EITHER a pass-through or a 2PC,
         // and the cross-shard fraction must actually have exercised
         // the prepare/commit fan-out.
-        ANKER_CHECK_MSG(r.passthrough_txns + r.twopc_txns >= r.commits,
+        ANKER_CHECK_MSG(r.passthrough_txns + r.twopc_txns >= commits,
                         "commits bypassed both router commit paths");
         ANKER_CHECK_MSG(r.twopc_txns > 0,
                         "cross_shard_pct > 0 but no 2PC ever ran");
       }
       std::printf(
-          "%8zu %6zu %6zu %12llu %12.1f %12llu %8llu %10.1f %10.1f %10llu\n",
+          "%8zu %6zu %6zu %12llu %12.1f %12llu %8llu %10.1f %10.1f %8llu "
+          "%6llu %6llu\n",
           points[p].shards, points[p].pct, rep + 1,
-          static_cast<unsigned long long>(r.commits), ktps,
+          static_cast<unsigned long long>(commits), ktps,
           static_cast<unsigned long long>(r.passthrough_txns),
           static_cast<unsigned long long>(r.twopc_txns), r.p50_us, r.p99_us,
-          static_cast<unsigned long long>(r.errors));
+          static_cast<unsigned long long>(r.outcomes.conflict_aborts),
+          static_cast<unsigned long long>(r.outcomes.busy),
+          static_cast<unsigned long long>(r.outcomes.unexpected));
       std::fflush(stdout);
       if (ktps > best_ktps[p]) {
         best_ktps[p] = ktps;
@@ -374,8 +376,8 @@ int main(int argc, char** argv) {
     auto& row = report["runs"].Append();
     row["shards"] = points[p].shards;
     row["cross_shard_pct"] = points[p].pct;
-    row["commits"] = r.commits;
-    row["errors"] = r.errors;
+    row["commits"] = r.outcomes.commits;
+    r.outcomes.Report(row);
     row["commit_ktps"] = best_ktps[p];
     row["p50_us"] = r.p50_us;
     row["p99_us"] = r.p99_us;
@@ -390,6 +392,8 @@ int main(int argc, char** argv) {
     }
   }
   report["scaling_over_one_shard"] = best_ratio;
+  // Over every run, not just the best ones the rows report.
+  report["unexpected_errors"] = unexpected_errors;
   std::printf("\nscaling over one shard: %.2fx (best of %zu per point)\n",
               best_ratio, repeats);
   if (cross_shard_pct > 0 && max_shards > 1 && pure_max_ktps > 0) {

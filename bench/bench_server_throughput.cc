@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/wire_outcomes.h"
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "common/timer.h"
@@ -32,9 +33,8 @@ namespace anker {
 namespace {
 
 struct ConnResult {
-  uint64_t commits = 0;
-  uint64_t errors = 0;
-  Histogram latency;  ///< Nanos per acked EXEC_TXN round trip.
+  bench::WireOutcomes outcomes;
+  Histogram latency;  ///< Nanos per EXEC_TXN round trip.
 };
 
 /// One connection's workload: `txns` pipelined EXEC_TXN frames with
@@ -52,19 +52,11 @@ ConnResult RunConnection(uint16_t port, size_t txns, size_t writes_per_txn,
 
   auto reap_one = [&]() {
     auto response = client->ReceiveOne();
-    ANKER_CHECK_MSG(response.ok(), "bench client lost the connection");
+    if (!response.ok()) return false;
     result.latency.Record(outstanding.front().ElapsedNanos());
     outstanding.pop_front();
-    const server::Op op = response.value().empty()
-                              ? server::Op::kErr
-                              : static_cast<server::Op>(response.value()[0]);
-    // kCommitOk carries the commit's WAL LSN; kOk is the pre-durability
-    // ack shape. Either way the transaction was applied and acked.
-    if (op == server::Op::kOk || op == server::Op::kCommitOk) {
-      ++result.commits;
-    } else {
-      ++result.errors;  // Aborts (ww-conflict) and BUSY both land here.
-    }
+    result.outcomes.Record(response.value());
+    return true;
   };
 
   for (size_t t = 0; t < txns; ++t) {
@@ -81,11 +73,15 @@ ConnResult RunConnection(uint16_t port, size_t txns, size_t writes_per_txn,
     }
     std::string payload;
     server::EncodeWriteBatch(server::Op::kExecTxn, writes, &payload);
-    ANKER_CHECK(client->SendOnly(payload).ok());
+    if (!client->SendOnly(payload).ok()) break;
     outstanding.emplace_back();
-    if (outstanding.size() >= pipeline) reap_one();
+    if (outstanding.size() >= pipeline && !reap_one()) break;
   }
-  while (!outstanding.empty()) reap_one();
+  while (!outstanding.empty() && reap_one()) {
+  }
+  // A lost connection fails every transaction it never answered.
+  result.outcomes.unexpected +=
+      txns - result.outcomes.commits - result.outcomes.failures();
   return result;
 }
 
@@ -185,10 +181,11 @@ int main(int argc, char** argv) {
   report["flags"]["durability"] = durability;
   report["flags"]["data_dir"] = data_dir;
 
-  std::printf("%12s %10s %12s %12s %10s %10s %10s\n", "connections",
-              "threads", "commits", "ktps", "p50 [us]", "p99 [us]",
-              "errors");
+  std::printf("%12s %10s %12s %12s %10s %10s %8s %6s %6s\n", "connections",
+              "threads", "commits", "ktps", "p50 [us]", "p99 [us]", "aborts",
+              "busy", "unexp");
   double best_ktps = 0;
+  uint64_t unexpected_errors = 0;
   for (size_t connections : connection_counts) {
     std::vector<ConnResult> results(connections);
     std::vector<std::thread> threads;
@@ -203,33 +200,37 @@ int main(int argc, char** argv) {
     for (std::thread& thread : threads) thread.join();
     const double seconds = wall.ElapsedSeconds();
 
-    uint64_t commits = 0, errors = 0;
+    bench::WireOutcomes outcomes;
     Histogram latency;
     for (ConnResult& r : results) {
-      commits += r.commits;
-      errors += r.errors;
+      outcomes.Merge(r.outcomes);
       latency.Merge(r.latency);
     }
+    const uint64_t commits = outcomes.commits;
+    unexpected_errors += outcomes.unexpected;
     const double ktps = commits / seconds / 1000.0;
     const double p50 = latency.Percentile(50) / 1e3;
     const double p99 = latency.Percentile(99) / 1e3;
     best_ktps = std::max(best_ktps, ktps);
-    std::printf("%12zu %10zu %12llu %12.1f %10.1f %10.1f %10llu\n",
+    std::printf("%12zu %10zu %12llu %12.1f %10.1f %10.1f %8llu %6llu %6llu\n",
                 connections, connections,
                 static_cast<unsigned long long>(commits), ktps, p50, p99,
-                static_cast<unsigned long long>(errors));
+                static_cast<unsigned long long>(outcomes.conflict_aborts),
+                static_cast<unsigned long long>(outcomes.busy),
+                static_cast<unsigned long long>(outcomes.unexpected));
     std::fflush(stdout);
 
     auto& row = report["sweep"].Append();
     row["connections"] = connections;
     row["threads"] = connections;
     row["commits"] = commits;
-    row["errors"] = errors;
+    outcomes.Report(row);
     row["commit_ktps"] = ktps;
     row["p50_us"] = p50;
     row["p99_us"] = p99;
   }
   report["best_commit_ktps"] = best_ktps;
+  report["unexpected_errors"] = unexpected_errors;
 
   const server::ServerStats stats = server.stats();
   std::printf("\nserver: frames=%llu commits_acked=%llu busy=%llu\n",

@@ -1,497 +1,101 @@
 #include "server/server.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
-#include <cstring>
 
 #include "server/replication.h"
 
 namespace anker::server {
 
-namespace {
+using Outcome = SessionLoop::Outcome;
 
-using Clock = std::chrono::steady_clock;
-
-/// One epoll_wait tick: bounds how stale idle-timeout and shutdown checks
-/// can get when no IO arrives.
-constexpr int kTickMillis = 100;
-
-std::string ErrnoMessage(const char* what) {
-  return std::string(what) + ": " + std::strerror(errno);
-}
-
-}  // namespace
-
-struct Server::Session {
-  int fd = -1;
-  enum class State { kAwaitHello, kReady } state = State::kAwaitHello;
-
-  /// Raw bytes read off the socket, not yet framed.
-  std::string inbox;
-  /// Encoded response frames awaiting write. Loop thread only.
-  std::string outbox;
-  bool want_write = false;  ///< EPOLLOUT currently registered.
-
-  /// Decoded request payloads awaiting execution (pipelining window).
-  std::deque<std::string> pending;
-  /// A dispatched operation is running on the worker pool; the pump stops
-  /// until it completes so responses keep request order.
-  bool busy = false;
-  /// Response frames built by the worker; handed to the loop thread
-  /// through Server::completed_ (the mutex orders the memory).
-  std::string dispatched_response;
-
-  bool close_after_flush = false;
-  bool closed = false;
-
-  /// The session's open OLTP transaction (at most one). Touched by the
-  /// loop thread and by the worker running this session's dispatched op,
-  /// never concurrently: `busy` serializes them.
+struct Server::Session : SessionLoop::Session {
+  /// Touched by the loop thread and by the worker running this session's
+  /// dispatched op, never concurrently.
   std::unique_ptr<txn::Transaction> txn;
-
-  Clock::time_point last_active = Clock::now();
 };
 
 Server::Server(engine::Database* db, ServerConfig config)
-    : db_(db), config_(std::move(config)) {
+    : db_(db),
+      config_(std::move(config)),
+      loop_(this, &db->worker_pool(), config_) {
   ANKER_CHECK(db_ != nullptr);
-  if (config_.max_pipeline == 0) config_.max_pipeline = 1;
 }
 
 Server::~Server() { Shutdown(); }
 
 Status Server::Start() {
-  ANKER_CHECK_MSG(!running_.load(), "Server::Start called twice");
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                        0);
-  if (listen_fd_ < 0) return Status::IoError(ErrnoMessage("socket"));
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("bad listen address: " + config_.host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    const Status status = Status::IoError(ErrnoMessage("bind"));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  if (::listen(listen_fd_, 128) < 0) {
-    const Status status = Status::IoError(ErrnoMessage("listen"));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  socklen_t addr_len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                    &addr_len) == 0) {
-    port_ = ntohs(addr.sin_port);
-  }
-
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (epoll_fd_ < 0 || wake_fd_ < 0) {
-    const Status status = Status::IoError(ErrnoMessage("epoll/eventfd"));
-    Shutdown();
-    return status;
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-  ev.data.fd = wake_fd_;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
-
+  // Before the loop runs: a REPLICATE_HELLO may arrive at once.
   if (db_->log_writer() != nullptr && config_.replica == nullptr) {
     ReplicationMasterConfig repl;
     repl.heartbeat_millis = config_.repl_heartbeat_millis;
     repl.ack_wait_millis = config_.repl_ack_wait_millis;
     replication_ = std::make_unique<ReplicationMaster>(db_, repl);
   }
-
-  running_.store(true);
-  stopping_.store(false);
-  loop_ = std::thread([this] { EventLoop(); });
-  return Status::OK();
+  const Status started = loop_.Start();
+  if (!started.ok()) replication_.reset();
+  return started;
 }
 
 void Server::Shutdown() {
-  if (running_.load()) {
-    stopping_.store(true);
-    WakeLoop();
-    if (loop_.joinable()) loop_.join();
-    running_.store(false);
-  }
-  // Streamer threads own their (detached) sockets; stop them before the
-  // fds below go away. Safe when never created (replica / no WAL).
+  loop_.Shutdown();
+  // Streamer threads own their (detached) sockets; stop them once the
+  // loop is gone. Safe when never created (replica / no WAL).
   if (replication_ != nullptr) replication_->Stop();
-  // A dispatched worker's last act is decrementing inflight_ (after its
-  // completion push); only then is it safe to tear down the fds and let
-  // the Server die.
-  while (inflight_.load() != 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  for (int* fd : {&listen_fd_, &epoll_fd_, &wake_fd_}) {
-    if (*fd >= 0) {
-      ::close(*fd);
-      *fd = -1;
-    }
-  }
 }
 
 ServerStats Server::stats() const {
-  std::lock_guard<std::mutex> guard(stats_mutex_);
-  return stats_;
+  ServerStats stats = loop_.stats();
+  stats.commits_acked = commits_acked_.load(std::memory_order_relaxed);
+  stats.queries_served = queries_served_.load(std::memory_order_relaxed);
+  return stats;
 }
 
-void Server::WakeLoop() {
-  if (wake_fd_ >= 0) {
-    const uint64_t one = 1;
-    [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+std::shared_ptr<SessionLoop::Session> Server::NewSession() {
+  return std::make_shared<Session>();
+}
+
+HelloOkMsg Server::HelloOk() {
+  HelloOkMsg ok;
+  ok.server_info =
+      std::string("anker ") + txn::ProcessingModeName(db_->config().mode);
+  return ok;
+}
+
+void Server::Closed(SessionLoop::Session& base) {
+  // A dropped connection aborts its open transaction — local writes are
+  // simply discarded, nothing was visible to anyone.
+  Session& session = static_cast<Session&>(base);
+  if (session.txn != nullptr) {
+    db_->Abort(session.txn.get());
+    session.txn.reset();
   }
 }
 
-void Server::EventLoop() {
-  std::vector<epoll_event> events(64);
-  bool listener_open = true;
-  Clock::time_point stopping_since{};
-  while (true) {
-    const int n =
-        ::epoll_wait(epoll_fd_, events.data(),
-                     static_cast<int>(events.size()), kTickMillis);
-    if (n < 0 && errno != EINTR) break;
-
-    for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == listen_fd_) {
-        HandleAccept();
-        continue;
-      }
-      if (fd == wake_fd_) {
-        uint64_t drained = 0;
-        while (::read(wake_fd_, &drained, sizeof(drained)) > 0) {
-        }
-        continue;
-      }
-      auto it = sessions_.find(fd);
-      if (it == sessions_.end()) continue;
-      std::shared_ptr<Session> session = it->second;
-      if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0) {
-        CloseSession(session);
-        continue;
-      }
-      if ((events[i].events & EPOLLOUT) != 0) FlushOutbox(session);
-      if ((events[i].events & EPOLLIN) != 0 && !session->closed) {
-        HandleReadable(session);
-      }
-    }
-
-    // Dispatched-op completions: restore the session to the loop.
-    std::vector<std::shared_ptr<Session>> completed;
-    {
-      std::lock_guard<std::mutex> guard(completed_mutex_);
-      completed.swap(completed_);
-    }
-    for (const std::shared_ptr<Session>& session : completed) {
-      session->busy = false;
-      if (session->closed) {
-        // The peer vanished while its op ran. CloseSession could not
-        // abort the transaction then (the worker owned it); do it now or
-        // the registry entry pins the GC watermark forever.
-        if (session->txn != nullptr) {
-          db_->Abort(session->txn.get());
-          session->txn.reset();
-        }
-        continue;
-      }
-      session->outbox.append(session->dispatched_response);
-      session->dispatched_response.clear();
-      FlushOutbox(session);
-      if (!session->closed) PumpSession(session);
-    }
-
-    // Idle-timeout sweep.
-    if (config_.idle_timeout_millis > 0) {
-      const auto deadline =
-          Clock::now() - std::chrono::milliseconds(config_.idle_timeout_millis);
-      std::vector<std::shared_ptr<Session>> idle;
-      for (const auto& [sfd, session] : sessions_) {
-        if (!session->busy && session->last_active < deadline) {
-          idle.push_back(session);
-        }
-      }
-      for (const std::shared_ptr<Session>& session : idle) {
-        CloseSession(session);
-      }
-    }
-
-    // Graceful shutdown: stop accepting, drain in-flight work, let every
-    // queued response reach its socket (a durable COMMIT's ack must not
-    // be discarded by the shutdown that raced it), leave when every
-    // session is gone. A peer that stops reading cannot hold the server
-    // hostage: after a drain deadline its session is cut regardless.
-    if (stopping_.load()) {
-      if (listener_open) {
-        ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-        listener_open = false;
-        stopping_since = Clock::now();
-      }
-      const bool force =
-          Clock::now() - stopping_since > std::chrono::seconds(5);
-      std::vector<std::shared_ptr<Session>> drainable;
-      for (const auto& [sfd, session] : sessions_) {
-        if (!session->busy) drainable.push_back(session);
-      }
-      for (const std::shared_ptr<Session>& session : drainable) {
-        FlushOutbox(session);
-        if (session->closed) continue;
-        if (session->outbox.empty() || force) {
-          CloseSession(session);
-        } else {
-          session->close_after_flush = true;  // EPOLLOUT finishes the job.
-        }
-      }
-      if (sessions_.empty() && inflight_.load() == 0) break;
-    }
-  }
+Outcome Server::Dispatched(SessionLoop::Session& session,
+                           const std::string& payload, std::string* out) {
+  DispatchedResponse(static_cast<Session&>(session), payload, out);
+  return Outcome::kKeep;
 }
 
-void Server::HandleAccept() {
-  while (true) {
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;
-    if (stopping_.load() || sessions_.size() >= config_.max_sessions) {
-      ::close(fd);
-      continue;
+Outcome Server::Inline(SessionLoop::Session& base, Op op,
+                       std::string_view body, std::string* out) {
+  Session& session = static_cast<Session&>(base);
+  auto respond = [out](std::string_view payload) {
+    EncodeFrame(payload, out);
+  };
+  auto respond_error = [out](WireError code, std::string_view message) {
+    SessionLoop::AppendError(Op::kErr, code, message, out);
+  };
+  auto respond_status = [&](const Status& status) {
+    if (status.ok()) {
+      respond(std::string(1, static_cast<char>(Op::kOk)));
+    } else {
+      respond_error(WireErrorFor(status), status.message());
     }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto session = std::make_shared<Session>();
-    session->fd = fd;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      ::close(fd);
-      continue;
-    }
-    sessions_[fd] = std::move(session);
-    std::lock_guard<std::mutex> guard(stats_mutex_);
-    ++stats_.sessions_accepted;
-  }
-}
-
-void Server::HandleReadable(const std::shared_ptr<Session>& session) {
-  char chunk[65536];
-  while (true) {
-    const ssize_t n = ::read(session->fd, chunk, sizeof(chunk));
-    if (n > 0) {
-      session->inbox.append(chunk, static_cast<size_t>(n));
-      session->last_active = Clock::now();
-      continue;
-    }
-    if (n == 0) {  // Peer closed.
-      CloseSession(session);
-      return;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    CloseSession(session);
-    return;
-  }
-  IngestFrames(session);
-  if (!session->closed) PumpSession(session);
-  if (!session->closed) FlushOutbox(session);
-}
-
-void Server::IngestFrames(const std::shared_ptr<Session>& session) {
-  size_t offset = 0;
-  while (true) {
-    std::string_view rest(session->inbox.data() + offset,
-                          session->inbox.size() - offset);
-    std::string_view payload;
-    size_t consumed = 0;
-    const FrameStatus status = DecodeFrame(rest, &payload, &consumed);
-    if (status == FrameStatus::kNeedMore) break;
-    if (status == FrameStatus::kCorrupt) {
-      // The byte stream is no longer trustworthy; nothing can be framed,
-      // so nothing can be answered. Close.
-      {
-        std::lock_guard<std::mutex> guard(stats_mutex_);
-        ++stats_.protocol_errors;
-      }
-      CloseSession(session);
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> guard(stats_mutex_);
-      ++stats_.frames_received;
-    }
-    if (session->pending.size() >= config_.max_pipeline) {
-      RespondError(session, Op::kErr, WireError::kProtocolError,
-                   "pipeline window exceeded");
-      session->close_after_flush = true;
-      {
-        std::lock_guard<std::mutex> guard(stats_mutex_);
-        ++stats_.protocol_errors;
-      }
-      break;
-    }
-    session->pending.emplace_back(payload);
-    offset += consumed;
-  }
-  session->inbox.erase(0, offset);
-}
-
-void Server::PumpSession(const std::shared_ptr<Session>& session) {
-  while (!session->busy && !session->closed && !session->close_after_flush &&
-         !session->pending.empty()) {
-    const std::string payload = std::move(session->pending.front());
-    session->pending.pop_front();
-    session->last_active = Clock::now();
-    ExecuteRequest(session, payload);
-  }
-  if (!session->closed) FlushOutbox(session);
-}
-
-void Server::Respond(const std::shared_ptr<Session>& session,
-                     std::string_view payload) {
-  EncodeFrame(payload, &session->outbox);
-}
-
-void Server::RespondError(const std::shared_ptr<Session>& session, Op op,
-                          WireError code, const std::string& message) {
-  std::string payload;
-  EncodeErr(op, {code, message}, &payload);
-  Respond(session, payload);
-}
-
-void Server::RespondStatus(const std::shared_ptr<Session>& session,
-                           const Status& status) {
-  if (status.ok()) {
-    std::string payload;
-    payload.push_back(static_cast<char>(Op::kOk));
-    Respond(session, payload);
-  } else {
-    RespondError(session, Op::kErr, WireErrorFor(status), status.message());
-  }
-}
-
-void Server::FlushOutbox(const std::shared_ptr<Session>& session) {
-  while (!session->outbox.empty()) {
-    const ssize_t n = ::send(session->fd, session->outbox.data(),
-                             session->outbox.size(), MSG_NOSIGNAL);
-    if (n > 0) {
-      session->outbox.erase(0, static_cast<size_t>(n));
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!session->want_write) {
-        session->want_write = true;
-        epoll_event ev{};
-        ev.events = EPOLLIN | EPOLLOUT;
-        ev.data.fd = session->fd;
-        ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, session->fd, &ev);
-      }
-      return;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    CloseSession(session);
-    return;
-  }
-  if (session->want_write) {
-    session->want_write = false;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = session->fd;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, session->fd, &ev);
-  }
-  if (session->close_after_flush) CloseSession(session);
-}
-
-void Server::CloseSession(const std::shared_ptr<Session>& session) {
-  if (session->closed) return;
-  session->closed = true;
-  if (session->txn != nullptr) {
-    // A dropped connection aborts its open transaction — local writes are
-    // simply discarded, nothing was visible to anyone.
-    if (!session->busy) {
-      db_->Abort(session->txn.get());
-      session->txn.reset();
-    }
-    // If busy, the worker owns the transaction right now; the completion
-    // handler sees closed == true and aborts it then — it must not leak,
-    // or its registry entry would pin the GC watermark for good.
-  }
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, session->fd, nullptr);
-  ::close(session->fd);
-  sessions_.erase(session->fd);
-  std::lock_guard<std::mutex> guard(stats_mutex_);
-  ++stats_.sessions_closed;
-}
-
-bool Server::ExecuteRequest(const std::shared_ptr<Session>& session,
-                            const std::string& payload) {
-  if (payload.empty() || !IsRequestOp(static_cast<uint8_t>(payload[0]))) {
-    RespondError(session, Op::kErr, WireError::kNotSupported,
-                 "unknown or non-request opcode");
-    return true;
-  }
-  const Op op = static_cast<Op>(payload[0]);
-  const std::string_view body(payload.data() + 1, payload.size() - 1);
-
-  // ---- handshake gate ----------------------------------------------------
-  if (session->state == Session::State::kAwaitHello) {
-    if (op != Op::kHello) {
-      RespondError(session, Op::kErr, WireError::kProtocolError,
-                   "first frame must be HELLO");
-      session->close_after_flush = true;
-      std::lock_guard<std::mutex> guard(stats_mutex_);
-      ++stats_.protocol_errors;
-      return true;
-    }
-    HelloMsg hello;
-    const Status decoded = DecodeHello(body, &hello);
-    if (!decoded.ok() || hello.version != kProtocolVersion ||
-        hello.auth_token != config_.auth_token) {
-      const char* why = !decoded.ok() ? "malformed HELLO"
-                        : hello.version != kProtocolVersion
-                            ? "unsupported protocol version"
-                            : "authentication failed";
-      RespondError(session, Op::kErr, WireError::kBadHandshake, why);
-      session->close_after_flush = true;
-      std::lock_guard<std::mutex> guard(stats_mutex_);
-      ++stats_.protocol_errors;
-      return true;
-    }
-    HelloOkMsg ok;
-    ok.server_info = std::string("anker ") +
-                     txn::ProcessingModeName(db_->config().mode);
-    std::string response;
-    EncodeHelloOk(ok, &response);
-    Respond(session, response);
-    session->state = Session::State::kReady;
-    return true;
-  }
+  };
 
   // ---- read-only replica gate --------------------------------------------
   // Writes belong on the primary; the wire error is recoverable (maps to
@@ -504,53 +108,39 @@ bool Server::ExecuteRequest(const std::shared_ptr<Session>& session,
        op == Op::kDictDefine || op == Op::kPrepareTxn ||
        op == Op::kCommitPrepared || op == Op::kAbortPrepared ||
        op == Op::kResolveIntent)) {
-    RespondError(session, Op::kErr, WireError::kReadOnlyReplica,
-                 "writes go to the primary (or PROMOTE this node)");
-    return true;
+    respond_error(WireError::kReadOnlyReplica,
+                  "writes go to the primary (or PROMOTE this node)");
+    return Outcome::kKeep;
   }
 
   switch (op) {
-    case Op::kHello: {
-      RespondError(session, Op::kErr, WireError::kProtocolError,
-                   "HELLO must be the first frame, exactly once");
-      session->close_after_flush = true;
-      std::lock_guard<std::mutex> guard(stats_mutex_);
-      ++stats_.protocol_errors;
-      return true;
-    }
-    case Op::kPing: {
-      std::string response;
-      response.push_back(static_cast<char>(Op::kPong));
-      Respond(session, response);
-      return true;
-    }
-    case Op::kBegin: {
-      if (session->txn != nullptr) {
-        RespondError(session, Op::kErr, WireError::kInvalidArgument,
-                     "transaction already open (no nesting)");
-        return true;
+    case Op::kPing:
+      respond(std::string(1, static_cast<char>(Op::kPong)));
+      return Outcome::kKeep;
+    case Op::kBegin:
+      if (session.txn != nullptr) {
+        respond_error(WireError::kInvalidArgument,
+                      "transaction already open (no nesting)");
+        return Outcome::kKeep;
       }
-      session->txn = db_->BeginOltp();
-      RespondStatus(session, Status::OK());
-      return true;
-    }
-    case Op::kAbort: {
-      if (session->txn == nullptr) {
-        RespondError(session, Op::kErr, WireError::kInvalidArgument,
-                     "no open transaction");
-        return true;
+      session.txn = db_->BeginOltp();
+      respond_status(Status::OK());
+      return Outcome::kKeep;
+    case Op::kAbort:
+      if (session.txn == nullptr) {
+        respond_error(WireError::kInvalidArgument, "no open transaction");
+        return Outcome::kKeep;
       }
-      db_->Abort(session->txn.get());
-      session->txn.reset();
-      RespondStatus(session, Status::OK());
-      return true;
-    }
+      db_->Abort(session.txn.get());
+      session.txn.reset();
+      respond_status(Status::OK());
+      return Outcome::kKeep;
     case Op::kRead: {
       PointReadMsg msg;
-      const Status decoded = DecodePointRead(body, &msg);
-      if (!decoded.ok()) break;  // Malformed body: protocol error below.
+      if (!DecodePointRead(body, &msg).ok()) break;
       mvcc::IntentInfo intent;
-      auto value = DoRead(session.get(), msg, &intent);
+      auto value = DoRead(session.txn.get(), msg, &intent);
+      std::string response;
       if (!value.ok() && intent.gtid != 0) {
         // The slot carries an unresolved write intent below the reader's
         // snapshot: the outcome is not decidable here. Bounce the reader
@@ -558,46 +148,35 @@ bool Server::ExecuteRequest(const std::shared_ptr<Session>& session,
         IntentPendingMsg pending;
         pending.gtid = intent.gtid;
         pending.primary_shard = intent.primary_shard;
-        std::string response;
         EncodeIntentPending(pending, &response);
-        Respond(session, response);
+        respond(response);
       } else if (!value.ok()) {
-        RespondStatus(session, value.status());
+        respond_status(value.status());
       } else {
-        std::string response;
         EncodeReadOk(value.value(), &response);
-        Respond(session, response);
+        respond(response);
       }
-      return true;
+      return Outcome::kKeep;
     }
-    case Op::kWrite: {
-      PointWrite write;
-      const Status decoded = DecodeWrite(body, &write);
-      if (!decoded.ok()) break;
-      if (session->txn == nullptr) {
-        RespondError(session, Op::kErr, WireError::kInvalidArgument,
-                     "no open transaction (BEGIN first)");
-        return true;
-      }
-      RespondStatus(session, DoWrite(session->txn.get(), write));
-      return true;
-    }
+    case Op::kWrite:
     case Op::kWriteBatch: {
-      std::vector<PointWrite> writes;
-      const Status decoded = DecodeWriteBatch(body, &writes);
+      std::vector<PointWrite> writes(1);
+      const Status decoded = op == Op::kWrite
+                                 ? DecodeWrite(body, &writes[0])
+                                 : DecodeWriteBatch(body, &writes);
       if (!decoded.ok()) break;
-      if (session->txn == nullptr) {
-        RespondError(session, Op::kErr, WireError::kInvalidArgument,
-                     "no open transaction (BEGIN first)");
-        return true;
+      if (session.txn == nullptr) {
+        respond_error(WireError::kInvalidArgument,
+                      "no open transaction (BEGIN first)");
+        return Outcome::kKeep;
       }
       Status applied = Status::OK();
       for (const PointWrite& write : writes) {
-        applied = DoWrite(session->txn.get(), write);
+        applied = DoWrite(session.txn.get(), write);
         if (!applied.ok()) break;
       }
-      RespondStatus(session, applied);
-      return true;
+      respond_status(applied);
+      return Outcome::kKeep;
     }
     case Op::kListTables: {
       std::vector<TableInfo> infos;
@@ -611,8 +190,8 @@ bool Server::ExecuteRequest(const std::shared_ptr<Session>& session,
       }
       std::string response;
       EncodeTables(infos, &response);
-      Respond(session, response);
-      return true;
+      respond(response);
+      return Outcome::kKeep;
     }
     case Op::kReplicaStatus: {
       if (!body.empty()) break;  // Acks only belong on stream connections.
@@ -625,102 +204,35 @@ bool Server::ExecuteRequest(const std::shared_ptr<Session>& session,
       status.pending_intents = db_->txn_manager().intents().PendingCount();
       std::string response;
       EncodeReplicaStatusOk(status, &response);
-      Respond(session, response);
-      return true;
+      respond(response);
+      return Outcome::kKeep;
     }
-    case Op::kReplicateHello: {
-      ReplicateHelloMsg hello;
-      const Status decoded = DecodeReplicateHello(body, &hello);
-      if (!decoded.ok()) break;
-      if (replication_ == nullptr) {
-        RespondError(session, Op::kErr, WireError::kNotSupported,
-                     config_.replica != nullptr
-                         ? "replicas do not serve the stream; subscribe to "
-                           "the primary"
-                         : "durability is off: no WAL to ship");
-        session->close_after_flush = true;
-        return true;
-      }
-      if (session->txn != nullptr) {
-        db_->Abort(session->txn.get());
-        session->txn.reset();
-      }
-      // Hand the socket to a dedicated streamer thread: detach it from
-      // the epoll loop, make it blocking, flush anything still queued,
-      // subscribe. Frames the replica pipelined behind the subscription
-      // (early acks) travel along, re-framed.
-      const int fd = session->fd;
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-      const int flags = ::fcntl(fd, F_GETFL, 0);
-      if (flags >= 0) ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
-      bool flushed = true;
-      while (!session->outbox.empty()) {
-        const ssize_t n = ::send(fd, session->outbox.data(),
-                                 session->outbox.size(), MSG_NOSIGNAL);
-        if (n < 0 && errno == EINTR) continue;
-        if (n <= 0) {
-          flushed = false;
-          break;
-        }
-        session->outbox.erase(0, static_cast<size_t>(n));
-      }
-      std::string residual;
-      for (const std::string& queued : session->pending) {
-        EncodeFrame(queued, &residual);
-      }
-      session->pending.clear();
-      residual.append(session->inbox);
-      session->inbox.clear();
-      const Status subscribed =
-          flushed ? replication_->Subscribe(fd, std::move(residual), hello)
-                  : Status::IoError("peer went away before the stream");
-      if (!subscribed.ok()) {
-        std::string errbody, frame;
-        EncodeErr(Op::kErr,
-                  {WireErrorFor(subscribed), subscribed.message()}, &errbody);
-        EncodeFrame(errbody, &frame);
-        [[maybe_unused]] ssize_t n =
-            ::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
-        ::close(fd);
-      }
-      // Either way the loop no longer owns this fd.
-      sessions_.erase(fd);
-      session->closed = true;
-      session->fd = -1;
-      std::lock_guard<std::mutex> guard(stats_mutex_);
-      ++stats_.sessions_closed;
-      return true;
-    }
-    case Op::kRouterStatus: {
+    case Op::kReplicateHello:
+      return Subscribe(session, body, out);
+    case Op::kRouterStatus:
       // Answered (negatively) so a client can probe whether an endpoint
       // is a router or a plain engine server.
-      RespondError(session, Op::kErr, WireError::kNotSupported,
-                   "not a shard router");
-      return true;
-    }
+      respond_error(WireError::kNotSupported, "not a shard router");
+      return Outcome::kKeep;
     case Op::kDecommissionReplica: {
       DecommissionReplicaMsg msg;
-      const Status decoded = DecodeDecommissionReplica(body, &msg);
-      if (!decoded.ok()) break;  // Malformed body: protocol error below.
-      RespondStatus(
-          session,
-          replication_ != nullptr
-              ? replication_->Decommission(msg.replica_id)
-              : Status::NotSupported(
-                    config_.replica != nullptr
-                        ? "replicas hold no retention registry; "
-                          "decommission on the primary"
-                        : "durability is off: no replication state"));
-      return true;
+      if (!DecodeDecommissionReplica(body, &msg).ok()) break;
+      respond_status(replication_ != nullptr
+                         ? replication_->Decommission(msg.replica_id)
+                         : Status::NotSupported(
+                               config_.replica != nullptr
+                                   ? "replicas hold no retention registry; "
+                                     "decommission on the primary"
+                                   : "durability is off: no replication "
+                                     "state"));
+      return Outcome::kKeep;
     }
-    case Op::kCommit: {
-      if (session->txn == nullptr) {
-        RespondError(session, Op::kErr, WireError::kInvalidArgument,
-                     "no open transaction");
-        return true;
+    case Op::kCommit:
+      if (session.txn == nullptr) {
+        respond_error(WireError::kInvalidArgument, "no open transaction");
+        return Outcome::kKeep;
       }
-      break;  // Dispatched below.
-    }
+      return Outcome::kDispatch;
     case Op::kExecTxn:
     case Op::kQuery:
     case Op::kCreateTable:
@@ -736,59 +248,52 @@ bool Server::ExecuteRequest(const std::shared_ptr<Session>& session,
     case Op::kCommitPrepared:
     case Op::kAbortPrepared:
     case Op::kResolveIntent:
-      break;  // Dispatched below.
+      // These may fsync, scan or wait for a while: the worker pool runs
+      // them.
+      return Outcome::kDispatch;
     default:
       break;
   }
-
-  if (op == Op::kCommit || op == Op::kExecTxn || op == Op::kQuery ||
-      op == Op::kCreateTable || op == Op::kLoad || op == Op::kBuildIndex ||
-      op == Op::kDictDefine || op == Op::kFetchCheckpoint ||
-      op == Op::kWaitLsn || op == Op::kPromote || op == Op::kCheckpointNow ||
-      op == Op::kDigest || op == Op::kPrepareTxn ||
-      op == Op::kCommitPrepared || op == Op::kAbortPrepared ||
-      op == Op::kResolveIntent) {
-    // Admission control: these run on the worker pool (they may fsync or
-    // scan for a while). Beyond the inflight budget the client gets an
-    // explicit BUSY instead of an unbounded queue.
-    if (config_.max_inflight == 0 ||
-        inflight_.load() >= config_.max_inflight) {
-      RespondError(session, Op::kBusy, WireError::kResourceBusy,
-                   "server at max_inflight; retry");
-      std::lock_guard<std::mutex> guard(stats_mutex_);
-      ++stats_.busy_rejections;
-      return true;
-    }
-    inflight_.fetch_add(1);
-    session->busy = true;
-    db_->worker_pool().Submit(
-        [this, session, payload]() mutable {
-          RunDispatched(session, payload);
-        });
-    return false;
-  }
-
   // Reaching here means a known request had a malformed body.
-  RespondError(session, Op::kErr, WireError::kProtocolError,
-               "malformed request body");
-  session->close_after_flush = true;
-  std::lock_guard<std::mutex> guard(stats_mutex_);
-  ++stats_.protocol_errors;
-  return true;
+  return SessionLoop::ProtocolError("malformed request body", out);
 }
 
-void Server::RunDispatched(std::shared_ptr<Session> session,
-                           std::string payload) {
-  session->dispatched_response.clear();
-  DispatchedResponse(session.get(), payload, &session->dispatched_response);
-  {
-    std::lock_guard<std::mutex> guard(completed_mutex_);
-    completed_.push_back(std::move(session));
+Outcome Server::Subscribe(Session& session, std::string_view body,
+                          std::string* out) {
+  ReplicateHelloMsg hello;
+  if (!DecodeReplicateHello(body, &hello).ok()) {
+    return SessionLoop::ProtocolError("malformed request body", out);
   }
-  WakeLoop();
-  // Last touch of `this`: Shutdown() spins on inflight_ before tearing
-  // the server down, so everything above stays valid.
-  inflight_.fetch_sub(1);
+  if (replication_ == nullptr) {
+    SessionLoop::AppendError(
+        Op::kErr, WireError::kNotSupported,
+        config_.replica != nullptr
+            ? "replicas do not serve the stream; subscribe to the primary"
+            : "durability is off: no WAL to ship",
+        out);
+    return Outcome::kClose;
+  }
+  if (session.txn != nullptr) {
+    db_->Abort(session.txn.get());
+    session.txn.reset();
+  }
+  // Hand the socket to a dedicated streamer thread. Frames the replica
+  // pipelined behind the subscription (early acks) travel along,
+  // re-framed.
+  std::string residual;
+  const int fd = loop_.Detach(session, &residual);
+  if (fd < 0) return Outcome::kKeep;  // Peer went away before the stream.
+  const Status subscribed =
+      replication_->Subscribe(fd, std::move(residual), hello);
+  if (!subscribed.ok()) {
+    std::string frame;
+    SessionLoop::AppendError(Op::kErr, WireErrorFor(subscribed),
+                             subscribed.message(), &frame);
+    [[maybe_unused]] ssize_t n =
+        ::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
+    ::close(fd);
+  }
+  return Outcome::kKeep;
 }
 
 namespace {
@@ -799,7 +304,7 @@ Result<storage::Column*> ResolveColumn(engine::Database* db,
 Result<uint64_t> ResolveRow(storage::Table* table, bool by_key, uint64_t key);
 }  // namespace
 
-void Server::DispatchedResponse(Session* session, const std::string& payload,
+void Server::DispatchedResponse(Session& session, const std::string& payload,
                                 std::string* out) {
   const Op op = static_cast<Op>(payload[0]);
   const std::string_view body(payload.data() + 1, payload.size() - 1);
@@ -817,16 +322,13 @@ void Server::DispatchedResponse(Session* session, const std::string& payload,
 
   switch (op) {
     case Op::kCommit: {
-      const Status committed = db_->Commit(session->txn.get());
+      const Status committed = db_->Commit(session.txn.get());
       // The commit's WAL LSN is the read-your-writes token: a client can
       // hand it to a replica's WAIT_LSN before reading there.
-      const uint64_t lsn = session->txn->durable_lsn();
-      session->txn.reset();
+      const uint64_t lsn = session.txn->durable_lsn();
+      session.txn.reset();
       if (committed.ok()) {
-        {
-          std::lock_guard<std::mutex> guard(stats_mutex_);
-          ++stats_.commits_acked;
-        }
+        commits_acked_.fetch_add(1, std::memory_order_relaxed);
         EncodeCommitOk(lsn, &response);
         EncodeFrame(response, out);
         return;
@@ -837,7 +339,7 @@ void Server::DispatchedResponse(Session* session, const std::string& payload,
     case Op::kExecTxn: {
       std::vector<PointWrite> writes;
       Status status = DecodeWriteBatch(body, &writes);
-      if (status.ok() && session->txn != nullptr) {
+      if (status.ok() && session.txn != nullptr) {
         status = Status::InvalidArgument(
             "EXEC_TXN is auto-commit; a transaction is open on this session");
       }
@@ -850,10 +352,7 @@ void Server::DispatchedResponse(Session* session, const std::string& payload,
         if (status.ok()) {
           status = db_->Commit(txn.get());
           if (status.ok()) {
-            {
-              std::lock_guard<std::mutex> guard(stats_mutex_);
-              ++stats_.commits_acked;
-            }
+            commits_acked_.fetch_add(1, std::memory_order_relaxed);
             EncodeCommitOk(txn->durable_lsn(), &response);
             EncodeFrame(response, out);
             return;
@@ -893,8 +392,7 @@ void Server::DispatchedResponse(Session* session, const std::string& payload,
       response.clear();
       EncodeQueryDone(r, &response);
       EncodeFrame(response, out);
-      std::lock_guard<std::mutex> guard(stats_mutex_);
-      ++stats_.queries_served;
+      queries_served_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     case Op::kCreateTable: {
@@ -1082,10 +580,7 @@ void Server::DispatchedResponse(Session* session, const std::string& payload,
                                                    &lsn);
       }
       if (status.ok()) {
-        {
-          std::lock_guard<std::mutex> guard(stats_mutex_);
-          ++stats_.commits_acked;
-        }
+        commits_acked_.fetch_add(1, std::memory_order_relaxed);
         EncodeCommitOk(lsn, &response);
         EncodeFrame(response, out);
         return;
@@ -1174,7 +669,7 @@ Status Server::DoWrite(txn::Transaction* txn, const PointWrite& write) {
   return Status::OK();
 }
 
-Result<uint64_t> Server::DoRead(Session* session, const PointReadMsg& msg,
+Result<uint64_t> Server::DoRead(txn::Transaction* txn, const PointReadMsg& msg,
                                 mvcc::IntentInfo* blocking_intent) {
   storage::Table* table = nullptr;
   auto column = ResolveColumn(db_, msg.table, msg.column, &table);
@@ -1190,32 +685,22 @@ Result<uint64_t> Server::DoRead(Session* session, const PointReadMsg& msg,
   // retries. An explicit transaction whose snapshot predates the
   // prepare is the one safe exception: the intent's outcome can only
   // materialize above prepare_ts, provably outside that snapshot.
-  auto blocked_by_intent = [&](const txn::Transaction* txn) {
-    if (blocking_intent == nullptr) return false;
+  if (blocking_intent != nullptr) {
     mvcc::IntentInfo info;
-    if (!db_->txn_manager().intents().Lookup(column.value(), row.value(),
-                                             &info)) {
-      return false;
-    }
-    if (txn != nullptr && txn->start_ts() < info.prepare_ts) return false;
-    *blocking_intent = info;
-    return true;
-  };
-  if (session->txn != nullptr) {
-    if (blocked_by_intent(session->txn.get())) {
+    if (db_->txn_manager().intents().Lookup(column.value(), row.value(),
+                                            &info) &&
+        (txn == nullptr || txn->start_ts() >= info.prepare_ts)) {
+      *blocking_intent = info;
       return Status::ResourceBusy("read blocked by unresolved write intent");
     }
-    return session->txn->Read(column.value(), row.value());
   }
-  if (blocked_by_intent(nullptr)) {
-    return Status::ResourceBusy("read blocked by unresolved write intent");
-  }
+  if (txn != nullptr) return txn->Read(column.value(), row.value());
   // Auto-commit read: a throwaway transaction gives a consistent
   // committed view (the visibility watermark), unlike a raw slot load
   // that could observe a half-materialized concurrent commit.
-  auto txn = db_->BeginOltp();
-  const uint64_t value = txn->Read(column.value(), row.value());
-  const Status committed = db_->Commit(txn.get());
+  auto read_txn = db_->BeginOltp();
+  const uint64_t value = read_txn->Read(column.value(), row.value());
+  const Status committed = db_->Commit(read_txn.get());
   if (!committed.ok()) return committed;
   return value;
 }

@@ -1,66 +1,38 @@
 #ifndef ANKER_SERVER_SERVER_H_
 #define ANKER_SERVER_SERVER_H_
 
-// anker_serve's session server: an epoll-based asynchronous TCP front-end
-// over one engine::Database. One event-loop thread owns every socket;
-// engine work that can block (commits waiting on group-commit fsyncs,
-// OLAP queries, schema/load operations) is dispatched onto the engine's
-// worker pool, so a slow fsync or a long scan never stalls the other
-// sessions. See docs/SERVER.md for the protocol and docs/OPERATIONS.md
-// for deployment guidance.
+// anker_serve's session server: the engine's handler set on the shared
+// wire transport (session_loop.h), over one engine::Database. Requests
+// that can block (commits waiting on group-commit fsyncs, OLAP queries,
+// schema/load operations) are dispatched onto the engine's worker pool;
+// point reads, writes, BEGIN/ABORT and the status surface run inline on
+// the loop thread. See docs/SERVER.md for the protocol and
+// docs/OPERATIONS.md for deployment guidance.
 //
-// Concurrency model per session: strictly one request at a time. Incoming
-// frames queue (bounded) behind an in-flight dispatched operation and
-// responses always leave in request order, so clients may pipeline up to
-// the advertised window. Concurrent OLAP queries from different sessions
-// naturally share snapshot epochs: Database::Run pins the *newest* epoch,
-// which the engine only advances every snapshot_interval_commits — the
-// server never forces per-request snapshot creation.
+// Concurrent OLAP queries from different sessions naturally share
+// snapshot epochs: Database::Run pins the *newest* epoch, which the
+// engine only advances every snapshot_interval_commits — the server
+// never forces per-request snapshot creation.
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
-#include <vector>
 
 #include "common/macros.h"
 #include "common/status.h"
 #include "engine/database.h"
 #include "mvcc/intent_table.h"
 #include "server/protocol.h"
+#include "server/session_loop.h"
 
 namespace anker::server {
 
 class ReplicationMaster;
 class ReplicaController;
 
-struct ServerConfig {
-  /// Listen address. Defaults stay loopback-only: exposing the engine
-  /// beyond the host is an explicit operator decision (docs/OPERATIONS.md).
-  std::string host = "127.0.0.1";
-  /// TCP port; 0 binds an ephemeral port (tests, benches) — read the
-  /// chosen one back with Server::port().
-  uint16_t port = 0;
-  /// Shared-secret session auth. Empty = no authentication; otherwise the
-  /// HELLO token must match byte-for-byte.
-  std::string auth_token;
-  /// Accepted connections beyond this are refused at accept time.
-  size_t max_sessions = 1024;
-  /// Admission control: dispatched operations (commits, queries, schema /
-  /// load work) running on the worker pool at once, across all sessions.
-  /// Requests arriving beyond the limit are answered with BUSY — explicit
-  /// backpressure instead of an unbounded queue. 0 rejects every
-  /// dispatched op (used by tests to pin the BUSY path).
-  size_t max_inflight = 64;
-  /// Frames a session may pipeline behind an in-flight operation before
-  /// the server treats it as a protocol violation and closes it.
-  size_t max_pipeline = 64;
-  /// Sessions idle longer than this are closed; 0 disables the timeout.
-  int idle_timeout_millis = 0;
+struct ServerConfig : SessionConfig {
   /// Replication (v3). The heartbeat/ack knobs shape the streamer threads
   /// this server spawns for subscribed replicas (no-ops when durability
   /// is off — REPLICATE_HELLO is then refused).
@@ -72,24 +44,13 @@ struct ServerConfig {
   ReplicaController* replica = nullptr;
 };
 
-/// Monotonic counters, readable while the server runs.
-struct ServerStats {
-  uint64_t sessions_accepted = 0;
-  uint64_t sessions_closed = 0;
-  uint64_t frames_received = 0;
-  uint64_t busy_rejections = 0;
-  uint64_t protocol_errors = 0;
-  uint64_t commits_acked = 0;
-  uint64_t queries_served = 0;
-};
-
-class Server {
+class Server : private SessionLoop::Handler {
  public:
   /// The database must outlive the server. The server never calls
   /// Database::Stop/Checkpoint itself — shutdown orchestration (drain ->
   /// checkpoint -> exit) belongs to the binary (tools/anker_serve.cc).
   Server(engine::Database* db, ServerConfig config);
-  ~Server();
+  ~Server() override;
   ANKER_DISALLOW_COPY_AND_MOVE(Server);
 
   /// Binds, listens and spawns the event-loop thread. IoError when the
@@ -102,53 +63,42 @@ class Server {
   void Shutdown();
 
   /// The bound port (after Start); useful with config.port = 0.
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return loop_.port(); }
 
   ServerStats stats() const;
 
  private:
+  /// A session's open OLTP transaction (at most one).
   struct Session;
 
-  void EventLoop();
-  void HandleAccept();
-  void HandleReadable(const std::shared_ptr<Session>& session);
-  void FlushOutbox(const std::shared_ptr<Session>& session);
-  /// Decodes complete frames from the inbox into the pending queue.
-  void IngestFrames(const std::shared_ptr<Session>& session);
-  /// Executes queued requests until empty, a dispatched op starts, or the
-  /// session closes.
-  void PumpSession(const std::shared_ptr<Session>& session);
-  void CloseSession(const std::shared_ptr<Session>& session);
-  /// Appends a response frame to the session outbox (loop thread only).
-  void Respond(const std::shared_ptr<Session>& session,
-               std::string_view payload);
-  void RespondError(const std::shared_ptr<Session>& session, Op op,
-                    WireError code, const std::string& message);
-  void RespondStatus(const std::shared_ptr<Session>& session,
-                     const Status& status);
+  // SessionLoop::Handler.
+  std::shared_ptr<SessionLoop::Session> NewSession() override;
+  HelloOkMsg HelloOk() override;
+  /// The engine op switch: cheap ops answer here, blocking ones dispatch.
+  SessionLoop::Outcome Inline(SessionLoop::Session& session, Op op,
+                              std::string_view body,
+                              std::string* out) override;
+  SessionLoop::Outcome Dispatched(SessionLoop::Session& session,
+                                  const std::string& payload,
+                                  std::string* out) override;
+  void Closed(SessionLoop::Session& session) override;
 
-  /// One request, loop-thread side. Returns true when the request was
-  /// handled inline (response already queued); false when it was
-  /// dispatched to the worker pool (session now busy).
-  bool ExecuteRequest(const std::shared_ptr<Session>& session,
-                      const std::string& payload);
-  /// Worker-pool side of a dispatched request: runs the engine work,
-  /// builds the response frames, then hands the session back to the loop.
-  void RunDispatched(std::shared_ptr<Session> session, std::string payload);
+  /// REPLICATE_HELLO: hands the session's socket to a streamer thread.
+  SessionLoop::Outcome Subscribe(Session& session, std::string_view body,
+                                 std::string* out);
 
   /// Engine helpers (worker or loop thread; engine objects are
   /// thread-safe).
   Status DoWrite(txn::Transaction* txn, const PointWrite& write);
+  /// Reads inside `txn` when given, else as an auto-commit read.
   /// `blocking_intent` (optional) is filled when the read is refused
   /// because an unresolved 2PC write intent covers the slot below the
   /// reader's snapshot; the caller bounces the client to the primary.
-  Result<uint64_t> DoRead(Session* session, const PointReadMsg& msg,
+  Result<uint64_t> DoRead(txn::Transaction* txn, const PointReadMsg& msg,
                           mvcc::IntentInfo* blocking_intent = nullptr);
   /// Appends the response frames for one dispatched request to `out`.
-  void DispatchedResponse(Session* session, const std::string& payload,
+  void DispatchedResponse(Session& session, const std::string& payload,
                           std::string* out);
-
-  void WakeLoop();
 
   engine::Database* db_;
   ServerConfig config_;
@@ -157,28 +107,14 @@ class Server {
   /// WAL and this server is not fronting a replica).
   std::unique_ptr<ReplicationMaster> replication_;
 
-  int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;
-  uint16_t port_ = 0;
-  std::thread loop_;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-
-  std::unordered_map<int, std::shared_ptr<Session>> sessions_;
-
-  /// Sessions whose dispatched op finished; drained by the loop thread.
-  std::mutex completed_mutex_;
-  std::vector<std::shared_ptr<Session>> completed_;
-
-  std::atomic<size_t> inflight_{0};
-
   /// Serializes BUILD_INDEX ops (worker threads): the exists-check and
   /// the eventual AdoptPrimaryIndex publish must be one atomic step.
   std::mutex build_index_mutex_;
 
-  mutable std::mutex stats_mutex_;
-  ServerStats stats_;
+  std::atomic<uint64_t> commits_acked_{0};
+  std::atomic<uint64_t> queries_served_{0};
+
+  SessionLoop loop_;
 };
 
 }  // namespace anker::server

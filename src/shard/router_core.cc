@@ -125,56 +125,58 @@ RouterCore::AcquireAny() {
   return last;
 }
 
-void RouterCore::Handle(SessionState* session, const std::string& payload,
+bool RouterCore::Handle(SessionState* session, const std::string& payload,
                         std::string* out) {
   if (payload.empty() ||
       !server::IsRequestOp(static_cast<uint8_t>(payload[0]))) {
     RespondError(WireError::kNotSupported, "unknown or non-request opcode",
                  out);
-    return;
+    return false;
   }
   const Op op = static_cast<Op>(payload[0]);
+  const std::string_view body(payload.data() + 1, payload.size() - 1);
+  // Every body is decoded here, so a malformed one is answered (and the
+  // session closed) before any backend hears of it.
+  const auto malformed = [this, out] {
+    RespondError(WireError::kProtocolError, "malformed request body", out);
+    return true;
+  };
   switch (op) {
     case Op::kPing:
       server::EncodeFrame(OpOnly(Op::kPong), out);
-      return;
+      return false;
     case Op::kHello:
       RespondError(WireError::kProtocolError,
                    "HELLO must be the first frame, exactly once", out);
-      return;
+      return true;
     case Op::kBegin:
     case Op::kCommit:
     case Op::kAbort:
       HandleTxnOp(session, op, payload, out);
-      return;
-    case Op::kRead:
-      HandleRead(session, payload, out);
-      return;
+      return false;
+    case Op::kRead: {
+      server::PointReadMsg msg;
+      if (!server::DecodePointRead(body, &msg).ok()) return malformed();
+      HandleRead(session, msg, payload, out);
+      return false;
+    }
     case Op::kWrite:
     case Op::kWriteBatch: {
-      std::vector<server::PointWrite> writes;
-      const std::string_view body(payload.data() + 1, payload.size() - 1);
-      Status decoded;
-      if (op == Op::kWrite) {
-        server::PointWrite write;
-        decoded = server::DecodeWrite(body, &write);
-        if (decoded.ok()) writes.push_back(std::move(write));
-      } else {
-        decoded = server::DecodeWriteBatch(body, &writes);
-      }
-      if (!decoded.ok()) {
-        RespondError(WireError::kProtocolError, "malformed request body",
-                     out);
-        return;
-      }
+      std::vector<server::PointWrite> writes(1);
+      const Status decoded = op == Op::kWrite
+                                 ? server::DecodeWrite(body, &writes[0])
+                                 : server::DecodeWriteBatch(body, &writes);
+      if (!decoded.ok()) return malformed();
       if (!session->in_txn) {
         RespondError(WireError::kInvalidArgument,
                      "no open transaction (BEGIN first)", out);
-        return;
+        return false;
       }
       const int shard = ShardForWrites(writes, out);
-      if (shard < 0) return;
-      if (!EnsurePinned(session, static_cast<size_t>(shard), out)) return;
+      if (shard < 0) return false;
+      if (!EnsurePinned(session, static_cast<size_t>(shard), out)) {
+        return false;
+      }
       if (!ForwardVerbatim(session->txn_client.get(), payload, out)) {
         pool_->Discard(std::move(session->txn_client));
         session->in_txn = false;
@@ -182,28 +184,60 @@ void RouterCore::Handle(SessionState* session, const std::string& payload,
         RespondError(WireError::kResourceBusy,
                      "shard connection lost; transaction aborted", out);
       }
-      return;
+      return false;
     }
-    case Op::kExecTxn:
-      HandleExecTxn(session, payload, out);
-      return;
-    case Op::kQuery:
-      HandleQuery(payload, out);
-      return;
-    case Op::kCreateTable:
-    case Op::kLoad:
+    case Op::kExecTxn: {
+      std::vector<server::PointWrite> writes;
+      if (!server::DecodeWriteBatch(body, &writes).ok()) return malformed();
+      HandleExecTxn(session, writes, payload, out);
+      return false;
+    }
+    case Op::kQuery: {
+      server::QueryMsg msg;
+      if (!server::DecodeQuery(body, &msg).ok()) return malformed();
+      HandleQuery(msg, out);
+      return false;
+    }
+    // Partitioned-table schema/load ops are the loader's job: rows are
+    // positional per shard, so the router cannot split them faithfully.
+    case Op::kCreateTable: {
+      server::CreateTableMsg msg;
+      if (!server::DecodeCreateTable(body, &msg).ok()) return malformed();
+      if (map_->PartitionKey(msg.name) != nullptr) {
+        RespondError(WireError::kNotSupported,
+                     "create partitioned tables on each shard directly "
+                     "(per-shard row counts differ)",
+                     out);
+        return false;
+      }
+      HandleFanout(payload, out);
+      return false;
+    }
+    case Op::kLoad: {
+      server::LoadMsg msg;
+      if (!server::DecodeLoad(body, &msg).ok()) return malformed();
+      if (map_->PartitionKey(msg.table) != nullptr) {
+        RespondError(WireError::kNotSupported,
+                     "loads are positional; split partitioned-table loads "
+                     "at the loader",
+                     out);
+        return false;
+      }
+      HandleFanout(payload, out);
+      return false;
+    }
     case Op::kBuildIndex:
     case Op::kDictDefine:
-      HandleFanout(op, payload, out);
-      return;
+      HandleFanout(payload, out);
+      return false;
     case Op::kListTables:
       HandleListTables(payload, out);
-      return;
+      return false;
     case Op::kRouterStatus: {
       std::string response;
       server::EncodeRouterStatusOk(StatusSnapshot(), &response);
       server::EncodeFrame(response, out);
-      return;
+      return false;
     }
     default:
       // Replication / per-node operations surface: these act on one
@@ -212,7 +246,7 @@ void RouterCore::Handle(SessionState* session, const std::string& payload,
                    "not served by the router; connect to the shard's "
                    "engine server directly",
                    out);
-      return;
+      return false;
   }
 }
 
@@ -267,14 +301,9 @@ void RouterCore::HandleTxnOp(SessionState* session, Op op,
   return;
 }
 
-void RouterCore::HandleRead(SessionState* session, const std::string& payload,
-                            std::string* out) {
-  server::PointReadMsg msg;
-  const std::string_view body(payload.data() + 1, payload.size() - 1);
-  if (!server::DecodePointRead(body, &msg).ok()) {
-    RespondError(WireError::kProtocolError, "malformed request body", out);
-    return;
-  }
+void RouterCore::HandleRead(SessionState* session,
+                            const server::PointReadMsg& msg,
+                            const std::string& payload, std::string* out) {
   const std::string* partition_key = map_->PartitionKey(msg.table);
   if (partition_key != nullptr && !msg.by_key) {
     RespondError(WireError::kNotSupported,
@@ -494,14 +523,9 @@ bool RouterCore::EnsurePinned(SessionState* session, size_t shard,
   return true;
 }
 
-void RouterCore::HandleExecTxn(SessionState* session,
-                               const std::string& payload, std::string* out) {
-  std::vector<server::PointWrite> writes;
-  const std::string_view body(payload.data() + 1, payload.size() - 1);
-  if (!server::DecodeWriteBatch(body, &writes).ok()) {
-    RespondError(WireError::kProtocolError, "malformed request body", out);
-    return;
-  }
+void RouterCore::HandleExecTxn(
+    SessionState* session, const std::vector<server::PointWrite>& writes,
+    const std::string& payload, std::string* out) {
   if (session->in_txn) {
     RespondError(WireError::kInvalidArgument,
                  "EXEC_TXN is auto-commit; a transaction is open on this "
@@ -731,13 +755,7 @@ void RouterCore::TwoPhaseCommit(
   server::EncodeFrame(response, out);
 }
 
-void RouterCore::HandleQuery(const std::string& payload, std::string* out) {
-  server::QueryMsg msg;
-  const std::string_view body(payload.data() + 1, payload.size() - 1);
-  if (!server::DecodeQuery(body, &msg).ok()) {
-    RespondError(WireError::kProtocolError, "malformed request body", out);
-    return;
-  }
+void RouterCore::HandleQuery(const server::QueryMsg& msg, std::string* out) {
   const query::ScatterPlan plan =
       query::PlanScatter(msg.query, map_->partitioned());
 
@@ -814,39 +832,7 @@ void RouterCore::HandleQuery(const std::string& payload, std::string* out) {
   scatter_queries_.fetch_add(1);
 }
 
-void RouterCore::HandleFanout(Op op, const std::string& payload,
-                              std::string* out) {
-  const std::string_view body(payload.data() + 1, payload.size() - 1);
-  // Partitioned-table schema/load ops are the loader's job: rows are
-  // positional per shard, so the router cannot split them faithfully.
-  if (op == Op::kCreateTable) {
-    server::CreateTableMsg msg;
-    if (!server::DecodeCreateTable(body, &msg).ok()) {
-      RespondError(WireError::kProtocolError, "malformed request body", out);
-      return;
-    }
-    if (map_->PartitionKey(msg.name) != nullptr) {
-      RespondError(WireError::kNotSupported,
-                   "create partitioned tables on each shard directly "
-                   "(per-shard row counts differ)",
-                   out);
-      return;
-    }
-  } else if (op == Op::kLoad) {
-    server::LoadMsg msg;
-    if (!server::DecodeLoad(body, &msg).ok()) {
-      RespondError(WireError::kProtocolError, "malformed request body", out);
-      return;
-    }
-    if (map_->PartitionKey(msg.table) != nullptr) {
-      RespondError(WireError::kNotSupported,
-                   "loads are positional; split partitioned-table loads "
-                   "at the loader",
-                   out);
-      return;
-    }
-  }
-
+void RouterCore::HandleFanout(const std::string& payload, std::string* out) {
   // All shards must apply DDL/loads: a partial fan-out would fork the
   // replicated schema, so the first unreachable shard fails the op.
   for (size_t shard = 0; shard < pool_->num_shards(); ++shard) {

@@ -96,8 +96,10 @@ class RouterCore {
 
   /// Handles one post-handshake request payload (opcode + body),
   /// appending complete response frame(s) to `out`. May block on
-  /// backend IO — run on a worker thread.
-  void Handle(SessionState* session, const std::string& payload,
+  /// backend IO — run on a worker thread. Returns true when the answer
+  /// is a ProtocolError (malformed body, a second HELLO): the front-end
+  /// must close the session once the answer is flushed.
+  bool Handle(SessionState* session, const std::string& payload,
               std::string* out);
 
   /// Session teardown (peer vanished): abort any pinned transaction on
@@ -112,13 +114,14 @@ class RouterCore {
  private:
   void HandleTxnOp(SessionState* session, server::Op op,
                    const std::string& payload, std::string* out);
-  void HandleRead(SessionState* session, const std::string& payload,
-                  std::string* out);
-  void HandleExecTxn(SessionState* session, const std::string& payload,
-                     std::string* out);
-  void HandleQuery(const std::string& payload, std::string* out);
-  void HandleFanout(server::Op op, const std::string& payload,
-                    std::string* out);
+  void HandleRead(SessionState* session, const server::PointReadMsg& msg,
+                  const std::string& payload, std::string* out);
+  void HandleExecTxn(SessionState* session,
+                     const std::vector<server::PointWrite>& writes,
+                     const std::string& payload, std::string* out);
+  void HandleQuery(const server::QueryMsg& msg, std::string* out);
+  /// Sends `payload` to every shard; the first failure wins.
+  void HandleFanout(const std::string& payload, std::string* out);
   void HandleListTables(const std::string& payload, std::string* out);
 
   /// Owning shard for a batch of writes; negative = refused (response

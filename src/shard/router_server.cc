@@ -1,457 +1,54 @@
 #include "shard/router_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <chrono>
-#include <cstring>
+#include <algorithm>
 
 namespace anker::shard {
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
 using server::Op;
-using server::WireError;
 
-constexpr int kTickMillis = 100;
-
-std::string ErrnoMessage(const char* what) {
-  return std::string(what) + ": " + std::strerror(errno);
-}
-
-}  // namespace
-
-struct RouterServer::Session {
-  int fd = -1;
-  enum class State { kAwaitHello, kReady } state = State::kAwaitHello;
-
-  std::string inbox;
-  std::string outbox;
-  bool want_write = false;
-
-  std::deque<std::string> pending;
-  bool busy = false;
-  std::string dispatched_response;
-
-  bool close_after_flush = false;
-  bool closed = false;
-
-  /// Pinned shard + live backend transaction connection. Touched by the
-  /// loop thread and the worker running this session's dispatched op,
-  /// never concurrently: `busy` serializes them.
+struct RouterServer::Session : server::SessionLoop::Session {
   RouterCore::SessionState routing;
-
-  Clock::time_point last_active = Clock::now();
 };
 
 RouterServer::RouterServer(RouterCore* core, RouterServerConfig config)
-    : core_(core), config_(std::move(config)) {
+    : core_(core),
+      workers_(std::max<size_t>(1, config.max_inflight)),
+      loop_(this, &workers_, std::move(config)) {
   ANKER_CHECK(core_ != nullptr);
-  if (config_.max_pipeline == 0) config_.max_pipeline = 1;
-  if (config_.max_inflight == 0) config_.max_inflight = 1;
 }
 
 RouterServer::~RouterServer() { Shutdown(); }
 
-Status RouterServer::Start() {
-  ANKER_CHECK_MSG(!running_.load(), "RouterServer::Start called twice");
-
-  listen_fd_ =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) return Status::IoError(ErrnoMessage("socket"));
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("bad listen address: " + config_.host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    const Status status = Status::IoError(ErrnoMessage("bind"));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  if (::listen(listen_fd_, 128) < 0) {
-    const Status status = Status::IoError(ErrnoMessage("listen"));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  socklen_t addr_len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                    &addr_len) == 0) {
-    port_ = ntohs(addr.sin_port);
-  }
-
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (epoll_fd_ < 0 || wake_fd_ < 0) {
-    const Status status = Status::IoError(ErrnoMessage("epoll/eventfd"));
-    Shutdown();
-    return status;
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-  ev.data.fd = wake_fd_;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
-
-  workers_ = std::make_unique<ThreadPool>(config_.max_inflight);
-
-  running_.store(true);
-  stopping_.store(false);
-  loop_ = std::thread([this] { EventLoop(); });
-  return Status::OK();
+std::shared_ptr<server::SessionLoop::Session> RouterServer::NewSession() {
+  return std::make_shared<Session>();
 }
 
-void RouterServer::Shutdown() {
-  if (running_.load()) {
-    stopping_.store(true);
-    WakeLoop();
-    if (loop_.joinable()) loop_.join();
-    running_.store(false);
-  }
-  while (inflight_.load() != 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  workers_.reset();
-  for (int* fd : {&listen_fd_, &epoll_fd_, &wake_fd_}) {
-    if (*fd >= 0) {
-      ::close(*fd);
-      *fd = -1;
-    }
-  }
+server::HelloOkMsg RouterServer::HelloOk() {
+  server::HelloOkMsg ok;
+  ok.server_info = "anker-router";
+  ok.flags = server::kHelloFlagRouter;
+  ok.shard_map_digest = core_->map().digest();
+  return ok;
 }
 
-void RouterServer::WakeLoop() {
-  if (wake_fd_ >= 0) {
-    const uint64_t one = 1;
-    [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-  }
+RouterServer::Outcome RouterServer::Inline(server::SessionLoop::Session&,
+                                           Op op, std::string_view,
+                                           std::string* out) {
+  if (op != Op::kPing) return Outcome::kDispatch;
+  server::EncodeFrame(std::string(1, static_cast<char>(Op::kPong)), out);
+  return Outcome::kKeep;
 }
 
-void RouterServer::EventLoop() {
-  std::vector<epoll_event> events(64);
-  bool listener_open = true;
-  Clock::time_point stopping_since{};
-  while (true) {
-    const int n = ::epoll_wait(epoll_fd_, events.data(),
-                               static_cast<int>(events.size()), kTickMillis);
-    if (n < 0 && errno != EINTR) break;
-
-    for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == listen_fd_) {
-        HandleAccept();
-        continue;
-      }
-      if (fd == wake_fd_) {
-        uint64_t drained = 0;
-        while (::read(wake_fd_, &drained, sizeof(drained)) > 0) {
-        }
-        continue;
-      }
-      auto it = sessions_.find(fd);
-      if (it == sessions_.end()) continue;
-      std::shared_ptr<Session> session = it->second;
-      if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0) {
-        CloseSession(session);
-        continue;
-      }
-      if ((events[i].events & EPOLLOUT) != 0) FlushOutbox(session);
-      if ((events[i].events & EPOLLIN) != 0 && !session->closed) {
-        HandleReadable(session);
-      }
-    }
-
-    std::vector<std::shared_ptr<Session>> completed;
-    {
-      std::lock_guard<std::mutex> guard(completed_mutex_);
-      completed.swap(completed_);
-    }
-    for (const std::shared_ptr<Session>& session : completed) {
-      session->busy = false;
-      if (session->closed) {
-        // Peer vanished while its op ran; release the routing state the
-        // worker owned (aborts a pinned transaction on its shard).
-        core_->AbandonSession(&session->routing);
-        continue;
-      }
-      session->outbox.append(session->dispatched_response);
-      session->dispatched_response.clear();
-      FlushOutbox(session);
-      if (!session->closed) PumpSession(session);
-    }
-
-    if (config_.idle_timeout_millis > 0) {
-      const auto deadline =
-          Clock::now() -
-          std::chrono::milliseconds(config_.idle_timeout_millis);
-      std::vector<std::shared_ptr<Session>> idle;
-      for (const auto& [sfd, session] : sessions_) {
-        if (!session->busy && session->last_active < deadline) {
-          idle.push_back(session);
-        }
-      }
-      for (const std::shared_ptr<Session>& session : idle) {
-        CloseSession(session);
-      }
-    }
-
-    if (stopping_.load()) {
-      if (listener_open) {
-        ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-        listener_open = false;
-        stopping_since = Clock::now();
-      }
-      const bool force =
-          Clock::now() - stopping_since > std::chrono::seconds(5);
-      std::vector<std::shared_ptr<Session>> drainable;
-      for (const auto& [sfd, session] : sessions_) {
-        if (!session->busy) drainable.push_back(session);
-      }
-      for (const std::shared_ptr<Session>& session : drainable) {
-        FlushOutbox(session);
-        if (session->closed) continue;
-        if (session->outbox.empty() || force) {
-          CloseSession(session);
-        } else {
-          session->close_after_flush = true;
-        }
-      }
-      if (sessions_.empty() && inflight_.load() == 0) break;
-    }
-  }
+RouterServer::Outcome RouterServer::Dispatched(
+    server::SessionLoop::Session& session, const std::string& payload,
+    std::string* out) {
+  const bool protocol_error =
+      core_->Handle(&static_cast<Session&>(session).routing, payload, out);
+  return protocol_error ? Outcome::kProtocolError : Outcome::kKeep;
 }
 
-void RouterServer::HandleAccept() {
-  while (true) {
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;
-    if (stopping_.load() || sessions_.size() >= config_.max_sessions) {
-      ::close(fd);
-      continue;
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto session = std::make_shared<Session>();
-    session->fd = fd;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      ::close(fd);
-      continue;
-    }
-    sessions_[fd] = std::move(session);
-  }
-}
-
-void RouterServer::HandleReadable(const std::shared_ptr<Session>& session) {
-  char chunk[65536];
-  while (true) {
-    const ssize_t n = ::read(session->fd, chunk, sizeof(chunk));
-    if (n > 0) {
-      session->inbox.append(chunk, static_cast<size_t>(n));
-      session->last_active = Clock::now();
-      continue;
-    }
-    if (n == 0) {
-      CloseSession(session);
-      return;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    CloseSession(session);
-    return;
-  }
-  IngestFrames(session);
-  if (!session->closed) PumpSession(session);
-  if (!session->closed) FlushOutbox(session);
-}
-
-void RouterServer::IngestFrames(const std::shared_ptr<Session>& session) {
-  size_t offset = 0;
-  while (true) {
-    std::string_view rest(session->inbox.data() + offset,
-                          session->inbox.size() - offset);
-    std::string_view payload;
-    size_t consumed = 0;
-    const server::FrameStatus status =
-        server::DecodeFrame(rest, &payload, &consumed);
-    if (status == server::FrameStatus::kNeedMore) break;
-    if (status == server::FrameStatus::kCorrupt) {
-      CloseSession(session);
-      return;
-    }
-    if (session->pending.size() >= config_.max_pipeline) {
-      RespondError(session, Op::kErr, WireError::kProtocolError,
-                   "pipeline window exceeded");
-      session->close_after_flush = true;
-      break;
-    }
-    session->pending.emplace_back(payload);
-    offset += consumed;
-  }
-  session->inbox.erase(0, offset);
-}
-
-void RouterServer::PumpSession(const std::shared_ptr<Session>& session) {
-  while (!session->busy && !session->closed &&
-         !session->close_after_flush && !session->pending.empty()) {
-    const std::string payload = std::move(session->pending.front());
-    session->pending.pop_front();
-    session->last_active = Clock::now();
-    ExecuteRequest(session, payload);
-  }
-  if (!session->closed) FlushOutbox(session);
-}
-
-void RouterServer::Respond(const std::shared_ptr<Session>& session,
-                           std::string_view payload) {
-  server::EncodeFrame(payload, &session->outbox);
-}
-
-void RouterServer::RespondError(const std::shared_ptr<Session>& session,
-                                Op op, WireError code,
-                                const std::string& message) {
-  std::string payload;
-  server::EncodeErr(op, {code, message}, &payload);
-  Respond(session, payload);
-}
-
-void RouterServer::FlushOutbox(const std::shared_ptr<Session>& session) {
-  while (!session->outbox.empty()) {
-    const ssize_t n = ::send(session->fd, session->outbox.data(),
-                             session->outbox.size(), MSG_NOSIGNAL);
-    if (n > 0) {
-      session->outbox.erase(0, static_cast<size_t>(n));
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!session->want_write) {
-        session->want_write = true;
-        epoll_event ev{};
-        ev.events = EPOLLIN | EPOLLOUT;
-        ev.data.fd = session->fd;
-        ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, session->fd, &ev);
-      }
-      return;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    CloseSession(session);
-    return;
-  }
-  if (session->want_write) {
-    session->want_write = false;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = session->fd;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, session->fd, &ev);
-  }
-  if (session->close_after_flush) CloseSession(session);
-}
-
-void RouterServer::CloseSession(const std::shared_ptr<Session>& session) {
-  if (session->closed) return;
-  session->closed = true;
-  // The worker owns routing state while busy; the completion handler
-  // sees closed == true and abandons it then.
-  if (!session->busy) core_->AbandonSession(&session->routing);
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, session->fd, nullptr);
-  ::close(session->fd);
-  sessions_.erase(session->fd);
-}
-
-bool RouterServer::ExecuteRequest(const std::shared_ptr<Session>& session,
-                                  const std::string& payload) {
-  if (payload.empty() ||
-      !server::IsRequestOp(static_cast<uint8_t>(payload[0]))) {
-    RespondError(session, Op::kErr, WireError::kNotSupported,
-                 "unknown or non-request opcode");
-    return true;
-  }
-  const Op op = static_cast<Op>(payload[0]);
-  const std::string_view body(payload.data() + 1, payload.size() - 1);
-
-  if (session->state == Session::State::kAwaitHello) {
-    if (op != Op::kHello) {
-      RespondError(session, Op::kErr, WireError::kProtocolError,
-                   "first frame must be HELLO");
-      session->close_after_flush = true;
-      return true;
-    }
-    server::HelloMsg hello;
-    const Status decoded = server::DecodeHello(body, &hello);
-    if (!decoded.ok() || hello.version != server::kProtocolVersion ||
-        hello.auth_token != config_.auth_token) {
-      const char* why = !decoded.ok() ? "malformed HELLO"
-                        : hello.version != server::kProtocolVersion
-                            ? "unsupported protocol version"
-                            : "authentication failed";
-      RespondError(session, Op::kErr, WireError::kBadHandshake, why);
-      session->close_after_flush = true;
-      return true;
-    }
-    server::HelloOkMsg ok;
-    ok.server_info = "anker-router";
-    ok.flags = server::kHelloFlagRouter;
-    ok.shard_map_digest = core_->map().digest();
-    std::string response;
-    server::EncodeHelloOk(ok, &response);
-    Respond(session, response);
-    session->state = Session::State::kReady;
-    return true;
-  }
-
-  if (op == Op::kPing) {
-    std::string response;
-    response.push_back(static_cast<char>(Op::kPong));
-    Respond(session, response);
-    return true;
-  }
-
-  // Everything else may block on backend IO: dispatch. Same admission
-  // control as the engine server — beyond the inflight budget, BUSY.
-  if (inflight_.load() >= config_.max_inflight) {
-    RespondError(session, Op::kBusy, WireError::kResourceBusy,
-                 "router at max_inflight; retry");
-    return true;
-  }
-  inflight_.fetch_add(1);
-  session->busy = true;
-  workers_->Submit([this, session, payload]() mutable {
-    RunDispatched(session, payload);
-  });
-  return false;
-}
-
-void RouterServer::RunDispatched(std::shared_ptr<Session> session,
-                                 std::string payload) {
-  session->dispatched_response.clear();
-  core_->Handle(&session->routing, payload, &session->dispatched_response);
-  {
-    std::lock_guard<std::mutex> guard(completed_mutex_);
-    completed_.push_back(std::move(session));
-  }
-  WakeLoop();
-  // Last touch of `this`: Shutdown() spins on inflight_ before teardown.
-  inflight_.fetch_sub(1);
+void RouterServer::Closed(server::SessionLoop::Session& session) {
+  core_->AbandonSession(&static_cast<Session&>(session).routing);
 }
 
 }  // namespace anker::shard

@@ -1,108 +1,64 @@
 #ifndef ANKER_SHARD_ROUTER_SERVER_H_
 #define ANKER_SHARD_ROUTER_SERVER_H_
 
-// anker_router's wire front-end: the same epoll session server shape as
-// src/server/server.h (one event-loop thread owns every socket, frames
-// and the HELLO handshake happen on the loop, blocking work runs on a
-// worker pool) — but where the engine server dispatches into
-// engine::Database, this one dispatches into RouterCore, whose "engine"
-// is a fleet of backend shard connections.
-//
-// Differences from the engine server worth knowing:
+// anker_router's wire front-end: the router's handler set on the shared
+// wire transport (server/session_loop.h). The session rules — HELLO gate,
+// pipeline window, BUSY admission, idle reaping, drain — are the engine
+// server's, because they are the same loop. What differs:
 //  - HELLO_OK advertises kHelloFlagRouter and the active shard map's
 //    digest, so a client can tell a router from a shard and pin the
 //    topology it loaded against.
-//  - Every post-handshake request except PING dispatches (it may block
-//    on backend IO); the same one-in-flight-per-session rule keeps
-//    responses in request order.
-//  - There is no transaction object here — the session owns a
-//    RouterCore::SessionState (pinned shard + live backend connection),
-//    and a vanished peer aborts its pinned transaction on the shard.
+//  - Every post-handshake request except PING dispatches into
+//    RouterCore (it may block on backend IO), on a worker pool of
+//    max(1, max_inflight) threads owned by this server.
+//  - The session owns a RouterCore::SessionState (pinned shard + live
+//    backend connection) instead of a transaction; a vanished peer
+//    aborts its pinned transaction on the shard.
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
-#include <vector>
 
 #include "common/macros.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "server/protocol.h"
+#include "server/session_loop.h"
 #include "shard/router_core.h"
 
 namespace anker::shard {
 
-struct RouterServerConfig {
-  std::string host = "127.0.0.1";
-  uint16_t port = 0;  ///< 0 binds ephemeral; read back with port().
-  std::string auth_token;
-  size_t max_sessions = 1024;
-  /// Dispatched requests running at once across all sessions; beyond
-  /// this the client gets BUSY (explicit backpressure). Also sizes the
-  /// worker pool.
-  size_t max_inflight = 64;
-  size_t max_pipeline = 64;
-  int idle_timeout_millis = 0;
-};
+/// Listen address, auth and admission limits (server/session_loop.h).
+using RouterServerConfig = server::SessionConfig;
 
-class RouterServer {
+class RouterServer : private server::SessionLoop::Handler {
  public:
   /// `core` must outlive the server.
   RouterServer(RouterCore* core, RouterServerConfig config);
-  ~RouterServer();
+  ~RouterServer() override;
   ANKER_DISALLOW_COPY_AND_MOVE(RouterServer);
 
-  Status Start();
+  Status Start() { return loop_.Start(); }
   /// Graceful: stop accepting, drain in-flight work and outboxes,
   /// abort orphaned pinned transactions, join. Idempotent.
-  void Shutdown();
+  void Shutdown() { loop_.Shutdown(); }
 
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return loop_.port(); }
 
  private:
+  using Outcome = server::SessionLoop::Outcome;
   struct Session;
 
-  void EventLoop();
-  void HandleAccept();
-  void HandleReadable(const std::shared_ptr<Session>& session);
-  void IngestFrames(const std::shared_ptr<Session>& session);
-  void PumpSession(const std::shared_ptr<Session>& session);
-  void FlushOutbox(const std::shared_ptr<Session>& session);
-  void CloseSession(const std::shared_ptr<Session>& session);
-  void Respond(const std::shared_ptr<Session>& session,
-               std::string_view payload);
-  void RespondError(const std::shared_ptr<Session>& session, server::Op op,
-                    server::WireError code, const std::string& message);
-  /// True = handled inline; false = dispatched (session now busy).
-  bool ExecuteRequest(const std::shared_ptr<Session>& session,
-                      const std::string& payload);
-  void RunDispatched(std::shared_ptr<Session> session, std::string payload);
-  void WakeLoop();
+  std::shared_ptr<server::SessionLoop::Session> NewSession() override;
+  server::HelloOkMsg HelloOk() override;
+  Outcome Inline(server::SessionLoop::Session& session, server::Op op,
+                 std::string_view body, std::string* out) override;
+  Outcome Dispatched(server::SessionLoop::Session& session,
+                     const std::string& payload, std::string* out) override;
+  void Closed(server::SessionLoop::Session& session) override;
 
   RouterCore* core_;
-  RouterServerConfig config_;
-
-  std::unique_ptr<ThreadPool> workers_;
-
-  int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;
-  uint16_t port_ = 0;
-  std::thread loop_;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-
-  std::unordered_map<int, std::shared_ptr<Session>> sessions_;
-
-  std::mutex completed_mutex_;
-  std::vector<std::shared_ptr<Session>> completed_;
-
-  std::atomic<size_t> inflight_{0};
+  ThreadPool workers_;
+  server::SessionLoop loop_;
 };
 
 }  // namespace anker::shard
