@@ -58,14 +58,12 @@ ScanDriver::ScanDriver(std::vector<const ColumnReader*> readers)
   }
 }
 
-ScanDriver::Classification ScanDriver::ClassifyBlock(
+ScanDriver::BlockMode ScanDriver::ClassifyBlock(
     size_t block, BlockScratch* scratch) const {
   const size_t begin = block * mvcc::kRowsPerBlock;
   bool any_relevant = false;
   bool write_in_progress = false;
   bool any_needs_prev = false;
-  size_t range_first = SIZE_MAX;
-  size_t range_last = 0;
   for (size_t i = 0; i < readers_.size(); ++i) {
     const ColumnReader& reader = *readers_[i];
     if (!reader.versioned()) {
@@ -89,18 +87,13 @@ ScanDriver::Classification ScanDriver::ClassifyBlock(
       any_relevant = true;
       scratch->hint_first[i] = begin + info.first_versioned;
       scratch->hint_last[i] = begin + info.last_versioned;
-      range_first = std::min(range_first, scratch->hint_first[i]);
-      range_last = std::max(range_last, scratch->hint_last[i]);
     } else {
       scratch->hint_first[i] = SIZE_MAX;
       scratch->hint_last[i] = 0;
     }
   }
-  if (write_in_progress || any_needs_prev) {
-    return Classification{BlockMode::kSafe, 0, 0};
-  }
-  if (!any_relevant) return Classification{BlockMode::kTight, 0, 0};
-  return Classification{BlockMode::kHinted, range_first, range_last};
+  if (write_in_progress || any_needs_prev) return BlockMode::kSafe;
+  return any_relevant ? BlockMode::kHinted : BlockMode::kTight;
 }
 
 bool ScanDriver::BlockStable(size_t block,
@@ -158,12 +151,14 @@ double ScanColumnSum(const ColumnReader& reader, bool as_double,
                      ScanStats* stats, const ScanOptions& options) {
   ScanDriver driver({&reader});
   double total = 0.0;
-  driver.Fold<double>(
+  driver.FoldBlockwise<double>(
       &total,
-      [as_double](double& acc, const auto& row) {
-        const uint64_t raw = row.Col(0);
-        acc += as_double ? storage::DecodeDouble(raw)
-                         : static_cast<double>(storage::DecodeInt64(raw));
+      [as_double](double& acc, const ScanBlock& block) {
+        for (size_t r = 0; r < block.rows; ++r) {
+          const uint64_t raw = block.cols[0][r];
+          acc += as_double ? storage::DecodeDouble(raw)
+                           : static_cast<double>(storage::DecodeInt64(raw));
+        }
       },
       [](double& total_acc, double&& local) { total_acc += local; }, stats,
       options);

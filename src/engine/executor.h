@@ -16,10 +16,10 @@
 
 namespace anker::engine {
 
-/// Raw slot read of the tight/hinted scan kernels. Normally a plain load:
+/// Raw slot read of tight/hinted scan blocks. Normally a plain load:
 /// intentionally racy against in-place committers and validated after the
 /// fact by the per-block seqlock (a block that raced a commit is
-/// discarded and redone through the safe kernel) — the paper's tight-loop
+/// discarded and redone from safe staging) — the paper's tight-loop
 /// contract. Under ThreadSanitizer the same read becomes a relaxed atomic
 /// load: identical bytes and codegen cost in the sanitized build only,
 /// and TSan stops flagging the one race the engine is designed to
@@ -62,13 +62,7 @@ class ColumnReader {
     return ResolveChain(row, slot);
   }
 
-  /// Raw slot value without any version checks. Only correct when the
-  /// caller proved the row cannot carry a relevant version (tight loops).
-  inline uint64_t GetRaw(size_t row) const {
-    return RawSlotLoad(reinterpret_cast<const uint64_t*>(base_) + row);
-  }
-
-  /// Raw slot array for specialized block kernels (see ScanDriver): valid
+  /// Raw slot array for tight scan blocks (see ScanDriver): valid
   /// only for rows the caller proved version-free.
   const uint64_t* raw_base() const {
     return reinterpret_cast<const uint64_t*>(base_);
@@ -155,33 +149,27 @@ struct ScanOptions {
 };
 
 /// Multi-column scan driver implementing the paper's tight-loop strategy
-/// (Section 5.5, adopted from HyPer) with per-block kernel specialization:
-/// per 1024-row block it consults the first/last-versioned-row metadata of
-/// every involved column and picks one of three kernels:
-///  - *tight*: no reader has relevant versions in the block — a branchless
-///    loop over the raw slot arrays (auto-vectorizable);
-///  - *hinted*: versioned rows exist — the block splits into a raw prefix,
-///    a resolve range (union of the readers' [first, last] hints) and a
-///    raw suffix; only the middle consults chains, per column;
+/// (Section 5.5, adopted from HyPer) with per-block specialization: per
+/// 1024-row block it consults the first/last-versioned-row metadata of
+/// every involved column and classifies the block as
+///  - *tight*: no reader has relevant versions in the block — the
+///    callback reads the raw slot arrays directly (auto-vectorizable);
+///  - *hinted*: versioned rows exist — each reader's span is staged as a
+///    raw prefix, a chain-resolved range (its [first, last] hint) and a
+///    raw suffix, so only the middle consults chains;
 ///  - *safe*: a write is in progress right now (or the reader predates the
-///    current chain segment) — fully safe per-row resolution.
+///    current chain segment) — every row is resolved per row.
 /// A per-block seqlock validates tight/hinted results after the fact;
-/// blocks that raced a commit are redone with the safe kernel.
+/// blocks that raced a commit are redone from safe staging.
 ///
-/// Fold runs serially by default; given ScanOptions with a pool it becomes
-/// a morsel-driven parallel scan (Leis et al.): participants claim
-/// contiguous block ranges from a shared counter, fold into per-worker
-/// accumulators, and merge into the total under a lock at the end. The
-/// accumulator type Acc must be default-constructible; `merge` must be
-/// associative over accumulators. Per-block partial results are folded
-/// into a participant's accumulator only after the seqlock verified the
-/// block was stable, which makes retries side-effect free.
-///
-/// Row callbacks receive one of three row-accessor types (TightRow,
-/// HintedRow, SafeRow), all exposing `Col(i)` and `row()` — write them as
-/// generic lambdas: `[](Acc& acc, const auto& row) { ... }`. The
-/// specialization is what removes the per-row mode switch from the hot
-/// loop: each kernel instantiates the callback against its accessor.
+/// FoldBlockwise runs serially by default; given ScanOptions with a pool
+/// it becomes a morsel-driven parallel scan (Leis et al.): participants
+/// claim contiguous block ranges from a shared counter, fold into
+/// per-worker accumulators, and merge into the total under a lock at the
+/// end. The accumulator type Acc must be default-constructible; `merge`
+/// must be associative over accumulators. Per-block partial results are
+/// folded into a participant's accumulator only after the seqlock
+/// verified the block was stable, which makes retries side-effect free.
 class ScanDriver {
  public:
   /// All readers must cover the same row count.
@@ -189,114 +177,16 @@ class ScanDriver {
 
   size_t num_rows() const { return num_rows_; }
 
-  /// Row accessor of the tight kernel: raw slot loads, no branching, no
-  /// reader indirection.
-  class TightRow {
-   public:
-    inline uint64_t Col(size_t i) const {
-      return RawSlotLoad(cols_[i] + row_);
-    }
-    size_t row() const { return row_; }
-
-   private:
-    friend class ScanDriver;
-    const uint64_t* const* cols_;
-    size_t row_;
-  };
-
-  /// Row accessor of the hinted kernel's resolve range: raw outside the
-  /// column's own [first, last] versioned range, chain resolution inside.
-  class HintedRow {
-   public:
-    inline uint64_t Col(size_t i) const {
-      if (row_ < hint_first_[i] || row_ > hint_last_[i]) {
-        return RawSlotLoad(cols_[i] + row_);
-      }
-      return readers_[i]->Get(row_);
-    }
-    size_t row() const { return row_; }
-
-   private:
-    friend class ScanDriver;
-    const uint64_t* const* cols_;
-    const size_t* hint_first_;
-    const size_t* hint_last_;
-    const ColumnReader* const* readers_;
-    size_t row_;
-  };
-
-  /// Row accessor of the safe fallback: full per-row chain resolution.
-  class SafeRow {
-   public:
-    inline uint64_t Col(size_t i) const { return readers_[i]->Get(row_); }
-    size_t row() const { return row_; }
-
-   private:
-    friend class ScanDriver;
-    const ColumnReader* const* readers_;
-    size_t row_;
-  };
-
-  /// Folds `row_fn(Acc&, row)` over every row; merges block-local (and,
-  /// under a parallel scan, per-worker) accumulators into `total` with
-  /// `merge(Acc&, Acc&&)`. Thread-safe: concurrent Folds on one driver
-  /// share no mutable state.
-  template <typename Acc, typename RowFn, typename MergeFn>
-  void Fold(Acc* total, RowFn&& row_fn, MergeFn&& merge,
-            ScanStats* stats = nullptr,
-            const ScanOptions& options = ScanOptions()) const {
-    const size_t num_blocks =
-        (num_rows_ + mvcc::kRowsPerBlock - 1) / mvcc::kRowsPerBlock;
-    const size_t morsel_blocks = std::max<size_t>(1, options.morsel_blocks);
-    const size_t num_morsels =
-        (num_blocks + morsel_blocks - 1) / morsel_blocks;
-    size_t parallelism =
-        options.pool != nullptr ? std::max<size_t>(1, options.max_threads) : 1;
-    // No more participants than morsels: excess helpers would only pay
-    // enqueue/wakeup overhead to find the claim counter exhausted.
-    parallelism = std::min(parallelism, num_morsels);
-
-    if (parallelism <= 1) {
-      BlockScratch scratch(readers_.size());
-      FoldBlocks(0, num_blocks, total, row_fn, merge, stats, &scratch,
-                 options);
-      return;
-    }
-
-    std::atomic<size_t> next_morsel{0};
-    std::mutex merge_mutex;
-    options.pool->ParallelRun(parallelism, [&](size_t /*slot*/) {
-      Acc local{};
-      ScanStats local_stats;
-      BlockScratch scratch(readers_.size());
-      bool worked = false;
-      for (;;) {
-        const size_t morsel =
-            next_morsel.fetch_add(1, std::memory_order_relaxed);
-        const size_t block_begin = morsel * morsel_blocks;
-        if (block_begin >= num_blocks) break;
-        FoldBlocks(block_begin,
-                   std::min(block_begin + morsel_blocks, num_blocks), &local,
-                   row_fn, merge, &local_stats, &scratch, options);
-        worked = true;
-      }
-      if (!worked) return;
-      std::lock_guard<std::mutex> guard(merge_mutex);
-      merge(*total, std::move(local));
-      if (stats != nullptr) stats->Merge(local_stats);
-    });
-  }
-
-  /// Blockwise sibling of Fold: `block_fn(Acc&, const ScanBlock&)` runs
-  /// once per 1024-row block over plain value arrays. Version handling is
-  /// inverted relative to Fold: instead of specializing the *row accessor*
-  /// per block kind, versioned blocks are resolved into per-participant
-  /// scratch before the callback runs, so the callback can use tight
-  /// (vectorizable) column-at-a-time loops unconditionally. This is the
-  /// substrate of the query layer's compiled kernels (src/query/). The
-  /// same seqlock protocol applies: a block that raced a commit is redone
-  /// from fully resolved data and the callback's partial Acc is discarded,
-  /// so block_fn must be side-effect free apart from its Acc.
+  /// Runs `block_fn(Acc&, const ScanBlock&)` once per 1024-row block over
+  /// plain value arrays and merges block-local (and, under a parallel
+  /// scan, per-worker) accumulators into `total` with `merge(Acc&, Acc&&)`.
+  /// Versioned blocks are resolved into per-participant scratch before the
+  /// callback runs, so the callback never sees version logic and can use
+  /// tight (vectorizable) column-at-a-time or row loops unconditionally.
+  /// A block that raced a commit is redone from fully resolved data and
+  /// the callback's partial Acc is discarded, so block_fn must be
+  /// side-effect free apart from its Acc. Thread-safe: concurrent folds on
+  /// one driver share no mutable state.
   template <typename Acc, typename BlockFn, typename MergeFn>
   void FoldBlockwise(Acc* total, BlockFn&& block_fn, MergeFn&& merge,
                      ScanStats* stats = nullptr,
@@ -308,6 +198,8 @@ class ScanDriver {
         (num_blocks + morsel_blocks - 1) / morsel_blocks;
     size_t parallelism =
         options.pool != nullptr ? std::max<size_t>(1, options.max_threads) : 1;
+    // No more participants than morsels: excess helpers would only pay
+    // enqueue/wakeup overhead to find the claim counter exhausted.
     parallelism = std::min(parallelism, num_morsels);
 
     if (parallelism <= 1) {
@@ -347,10 +239,10 @@ class ScanDriver {
 
   /// Per-participant classification scratch: seqlock counters and hint
   /// ranges for the block being scanned (absolute row ids). Stack-local to
-  /// each Fold participant, so concurrent scans never share state. The
-  /// stage buffer (FoldBlockwise only) holds resolved values of versioned
-  /// blocks, one kRowsPerBlock span per reader, and is allocated lazily —
-  /// scans that only meet version-free blocks never touch it.
+  /// each scan participant, so concurrent scans never share state. The
+  /// stage buffer holds resolved values of versioned blocks, one
+  /// kRowsPerBlock span per reader, and is allocated lazily — scans that
+  /// only meet version-free blocks never touch it.
   struct BlockScratch {
     explicit BlockScratch(size_t num_readers)
         : seqs(num_readers),
@@ -363,106 +255,14 @@ class ScanDriver {
     std::vector<const uint64_t*> block_cols;
   };
 
-  struct Classification {
-    BlockMode mode;
-    /// Union of the relevant readers' versioned ranges (absolute rows);
-    /// only meaningful for kHinted.
-    size_t range_first;
-    size_t range_last;
-  };
-
   /// Reads every reader's block metadata; picks kTight when no reader has
   /// relevant versions in the block, kHinted when hints apply, kSafe when
   /// a write is in progress right now. Records seqlock counters and hint
   /// ranges in `scratch`.
-  Classification ClassifyBlock(size_t block, BlockScratch* scratch) const;
+  BlockMode ClassifyBlock(size_t block, BlockScratch* scratch) const;
 
   /// True iff no reader's block seqlock moved since ClassifyBlock.
   bool BlockStable(size_t block, const std::vector<uint64_t>& seqs) const;
-
-  template <typename Acc, typename RowFn>
-  inline void FoldTight(size_t begin, size_t end, Acc* acc,
-                        RowFn& row_fn) const {
-    TightRow row;
-    row.cols_ = raw_bases_.data();
-    for (size_t r = begin; r < end; ++r) {
-      row.row_ = r;
-      row_fn(*acc, row);
-    }
-  }
-
-  template <typename Acc, typename RowFn>
-  inline void FoldHinted(size_t begin, size_t end, Acc* acc, RowFn& row_fn,
-                         const BlockScratch& scratch) const {
-    HintedRow row;
-    row.cols_ = raw_bases_.data();
-    row.hint_first_ = scratch.hint_first.data();
-    row.hint_last_ = scratch.hint_last.data();
-    row.readers_ = readers_.data();
-    for (size_t r = begin; r < end; ++r) {
-      row.row_ = r;
-      row_fn(*acc, row);
-    }
-  }
-
-  template <typename Acc, typename RowFn>
-  inline void FoldSafe(size_t begin, size_t end, Acc* acc,
-                       RowFn& row_fn) const {
-    SafeRow row;
-    row.readers_ = readers_.data();
-    for (size_t r = begin; r < end; ++r) {
-      row.row_ = r;
-      row_fn(*acc, row);
-    }
-  }
-
-  /// Folds a contiguous block range into `*acc`: classify each block, run
-  /// the specialized kernel, validate via seqlock, fall back to the safe
-  /// kernel on instability.
-  template <typename Acc, typename RowFn, typename MergeFn>
-  void FoldBlocks(size_t block_begin, size_t block_end, Acc* acc,
-                  RowFn& row_fn, MergeFn& merge, ScanStats* stats,
-                  BlockScratch* scratch, const ScanOptions& options) const {
-    for (size_t block = block_begin; block < block_end; ++block) {
-      const size_t begin = block * mvcc::kRowsPerBlock;
-      const size_t end = std::min(begin + mvcc::kRowsPerBlock, num_rows_);
-      const Classification cls = ClassifyBlock(block, scratch);
-      if (options.on_block_classified) options.on_block_classified(block);
-
-      if (cls.mode != BlockMode::kSafe) {
-        Acc local{};
-        if (cls.mode == BlockMode::kTight) {
-          FoldTight(begin, end, &local, row_fn);
-        } else {
-          // Raw prefix / resolve range / raw suffix: only the union of the
-          // readers' versioned ranges pays for per-row hint checks.
-          const size_t resolve_begin = std::max(begin, cls.range_first);
-          const size_t resolve_end = std::min(end, cls.range_last + 1);
-          FoldTight(begin, resolve_begin, &local, row_fn);
-          FoldHinted(resolve_begin, resolve_end, &local, row_fn, *scratch);
-          FoldTight(resolve_end, end, &local, row_fn);
-        }
-        if (BlockStable(block, scratch->seqs)) {
-          merge(*acc, std::move(local));
-          if (stats != nullptr) {
-            if (cls.mode == BlockMode::kTight) {
-              stats->tight_rows += end - begin;
-            } else {
-              stats->hinted_rows += end - begin;
-            }
-          }
-          continue;
-        }
-        if (stats != nullptr) ++stats->seqlock_retries;
-        // Discard `local`, redo the block through the safe kernel.
-      }
-
-      Acc local{};
-      FoldSafe(begin, end, &local, row_fn);
-      merge(*acc, std::move(local));
-      if (stats != nullptr) stats->resolved_rows += end - begin;
-    }
-  }
 
   /// Resolves reader `i`'s rows [begin, end) into stage memory for a
   /// hinted block: raw copies outside the reader's versioned range, chain
@@ -476,9 +276,9 @@ class ScanDriver {
   const uint64_t* StageSafe(size_t i, size_t begin, size_t end,
                             uint64_t* stage) const;
 
-  /// Blockwise analogue of FoldBlocks: classify, expose raw spans for
-  /// version-free blocks and staged (resolved) spans otherwise, validate
-  /// via seqlock, redo from safe staging on instability.
+  /// Folds a contiguous block range into `*acc`: classify, expose raw
+  /// spans for version-free blocks and staged (resolved) spans otherwise,
+  /// validate via seqlock, redo from safe staging on instability.
   template <typename Acc, typename BlockFn, typename MergeFn>
   void FoldBlocksStaged(size_t block_begin, size_t block_end, Acc* acc,
                         BlockFn& block_fn, MergeFn& merge, ScanStats* stats,
@@ -489,11 +289,11 @@ class ScanDriver {
     for (size_t block = block_begin; block < block_end; ++block) {
       const size_t begin = block * mvcc::kRowsPerBlock;
       const size_t end = std::min(begin + mvcc::kRowsPerBlock, num_rows_);
-      const Classification cls = ClassifyBlock(block, scratch);
+      const BlockMode mode = ClassifyBlock(block, scratch);
       if (options.on_block_classified) options.on_block_classified(block);
 
-      if (cls.mode != BlockMode::kSafe) {
-        if (cls.mode == BlockMode::kTight) {
+      if (mode != BlockMode::kSafe) {
+        if (mode == BlockMode::kTight) {
 #ifdef ANKER_TSAN
           // Downstream block kernels read the exposed spans with plain
           // loads; under TSan, stage them through relaxed atomic copies
@@ -526,7 +326,7 @@ class ScanDriver {
         if (BlockStable(block, scratch->seqs)) {
           merge(*acc, std::move(local));
           if (stats != nullptr) {
-            if (cls.mode == BlockMode::kTight) {
+            if (mode == BlockMode::kTight) {
               stats->tight_rows += end - begin;
             } else {
               stats->hinted_rows += end - begin;
@@ -559,7 +359,7 @@ class ScanDriver {
 
   std::vector<const ColumnReader*> readers_;
   size_t num_rows_ = 0;
-  /// Cached raw slot arrays, one per reader (tight/hinted kernels).
+  /// Cached raw slot arrays, one per reader (tight/hinted blocks).
   std::vector<const uint64_t*> raw_bases_;
   /// Per-reader: may need chain segments older than reader.dir().
   std::vector<bool> needs_prev_;

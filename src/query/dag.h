@@ -139,16 +139,18 @@ struct DagPlan {
 /// (including sub-plans') for the OLAP snapshot declaration.
 Result<Query> BuildDagQuery(const QueryBuilder& builder);
 
-/// Type inference against a tuple schema: the same rules as
-/// expr.h's TypeCheck, with columns resolved by schema name.
+/// Slot of `name` in `schema`, or -1.
+int FindSlot(const std::vector<DagOutCol>& schema, const std::string& name);
+
+/// expr.h's TypeCheck with columns resolved by schema name.
 Result<ExprType> TypeCheckTuple(const Expr& expr,
                                 const std::vector<DagOutCol>& schema);
 
-/// Binds an expression for tuple-wise evaluation: params fold into
-/// literals, column names resolve to schema slots, and string literals /
-/// string params in dictionary equalities resolve to codes through the
-/// schema column's dictionary. The result evaluates with EvalScalar over
-/// chunk column spans.
+/// Binds an expression for evaluation: params fold into literals, column
+/// names resolve to schema slots, and string literals / string params in
+/// dictionary equalities resolve to codes through the schema column's
+/// dictionary. The result evaluates with EvalScalar over chunk or scan
+/// block column spans (a base scan's schema mirrors its column set).
 Result<BoundScalar> BindTupleScalar(const Expr& expr,
                                     const std::vector<DagOutCol>& schema,
                                     const Params& params);

@@ -11,10 +11,6 @@ namespace anker::query {
 
 namespace {
 
-bool IsNumeric(ExprType type) {
-  return type == ExprType::kInt64 || type == ExprType::kDouble;
-}
-
 void AddName(const std::string& name, std::vector<std::string>* names) {
   for (const std::string& n : *names) {
     if (n == name) return;
@@ -36,13 +32,6 @@ void CollectColumnNames(const ExprNode* node,
 void CollectExprColumnNames(const Expr& expr,
                             std::vector<std::string>* names) {
   if (expr.valid()) CollectColumnNames(expr.node(), names);
-}
-
-int FindSlot(const std::vector<DagOutCol>& schema, const std::string& name) {
-  for (size_t i = 0; i < schema.size(); ++i) {
-    if (schema[i].name == name) return static_cast<int>(i);
-  }
-  return -1;
 }
 
 Result<uint16_t> ResolveSlot(const std::vector<DagOutCol>& schema,
@@ -73,9 +62,8 @@ bool SchemaCovers(const std::vector<DagOutCol>& schema,
   return true;
 }
 
-Status CheckBool(const Expr& expr, const std::vector<DagOutCol>& schema,
-                 const std::string& what) {
-  auto type = TypeCheckTuple(expr, schema);
+/// Fails unless `type` (the result of type-checking `what`) is kBool.
+Status CheckBool(const Result<ExprType>& type, const std::string& what) {
   if (!type.ok()) return type.status();
   if (type.value() != ExprType::kBool) {
     return Status::InvalidArgument(what + " must be boolean, got " +
@@ -126,96 +114,6 @@ Result<DagScan> BuildTableScan(storage::Table* table, const Expr& filter,
   scan.columns = cols.columns();
   scan.schema = ScanSchema(table, scan.columns);
   return scan;
-}
-
-Result<ExprType> TypeCheckTupleNode(const ExprNode* node,
-                                    const std::vector<DagOutCol>& schema) {
-  switch (node->kind) {
-    case ExprKind::kColumn: {
-      const int slot = FindSlot(schema, node->name);
-      if (slot < 0) {
-        return Status::NotFound("no column '" + node->name +
-                                "' at this query stage");
-      }
-      return schema[slot].type;
-    }
-    case ExprKind::kLiteral:
-    case ExprKind::kParam:
-      return node->type;
-    case ExprKind::kAdd:
-    case ExprKind::kSub:
-    case ExprKind::kMul: {
-      auto lhs = TypeCheckTupleNode(node->lhs.get(), schema);
-      if (!lhs.ok()) return lhs;
-      auto rhs = TypeCheckTupleNode(node->rhs.get(), schema);
-      if (!rhs.ok()) return rhs;
-      const ExprType lt = lhs.value();
-      const ExprType rt = rhs.value();
-      if (IsNumeric(lt) && IsNumeric(rt)) {
-        return (lt == ExprType::kDouble || rt == ExprType::kDouble)
-                   ? ExprType::kDouble
-                   : ExprType::kInt64;
-      }
-      if (node->kind != ExprKind::kMul && lt == ExprType::kDate &&
-          rt == ExprType::kInt64) {
-        return ExprType::kDate;
-      }
-      return Status::InvalidArgument(
-          std::string("arithmetic requires numeric operands, got ") +
-          ExprTypeName(lt) + " and " + ExprTypeName(rt));
-    }
-    case ExprKind::kLt:
-    case ExprKind::kLe:
-    case ExprKind::kGt:
-    case ExprKind::kGe:
-    case ExprKind::kEq:
-    case ExprKind::kNe: {
-      auto lhs = TypeCheckTupleNode(node->lhs.get(), schema);
-      if (!lhs.ok()) return lhs;
-      auto rhs = TypeCheckTupleNode(node->rhs.get(), schema);
-      if (!rhs.ok()) return rhs;
-      const ExprType lt = lhs.value();
-      const ExprType rt = rhs.value();
-      if (lt == ExprType::kDict || rt == ExprType::kDict) {
-        if (node->kind != ExprKind::kEq && node->kind != ExprKind::kNe) {
-          return Status::InvalidArgument(
-              "dictionary-encoded values support only == and !=");
-        }
-        if (lt != rt) {
-          return Status::InvalidArgument(std::string("cannot compare ") +
-                                         ExprTypeName(lt) + " with " +
-                                         ExprTypeName(rt));
-        }
-        return ExprType::kBool;
-      }
-      const bool ok = (IsNumeric(lt) && IsNumeric(rt)) ||
-                      (lt == ExprType::kDate &&
-                       (rt == ExprType::kDate || rt == ExprType::kInt64)) ||
-                      (rt == ExprType::kDate && lt == ExprType::kInt64);
-      if (!ok) {
-        return Status::InvalidArgument(std::string("cannot compare ") +
-                                       ExprTypeName(lt) + " with " +
-                                       ExprTypeName(rt));
-      }
-      return ExprType::kBool;
-    }
-    case ExprKind::kAnd:
-    case ExprKind::kOr: {
-      auto lhs = TypeCheckTupleNode(node->lhs.get(), schema);
-      if (!lhs.ok()) return lhs;
-      auto rhs = TypeCheckTupleNode(node->rhs.get(), schema);
-      if (!rhs.ok()) return rhs;
-      if (lhs.value() != ExprType::kBool ||
-          rhs.value() != ExprType::kBool) {
-        return Status::InvalidArgument(
-            std::string("logical operators require bool operands, got ") +
-            ExprTypeName(lhs.value()) + " and " +
-            ExprTypeName(rhs.value()));
-      }
-      return ExprType::kBool;
-    }
-  }
-  return Status::Internal("unhandled expression kind");
 }
 
 /// The text of a string operand (Str literal or param bound as a string),
@@ -344,10 +242,24 @@ void CollectParamNamesNode(const ExprNode* node,
 
 }  // namespace
 
+int FindSlot(const std::vector<DagOutCol>& schema, const std::string& name) {
+  for (size_t i = 0; i < schema.size(); ++i) {
+    if (schema[i].name == name) return static_cast<int>(i);
+  }
+  return -1;
+}
+
 Result<ExprType> TypeCheckTuple(const Expr& expr,
                                 const std::vector<DagOutCol>& schema) {
-  if (!expr.valid()) return Status::InvalidArgument("empty expression");
-  return TypeCheckTupleNode(expr.node(), schema);
+  return TypeCheck(expr, [&schema](const std::string& name)
+                             -> Result<ExprType> {
+    const int slot = FindSlot(schema, name);
+    if (slot < 0) {
+      return Status::NotFound("no column '" + name +
+                              "' at this query stage");
+    }
+    return schema[slot].type;
+  });
 }
 
 Result<BoundScalar> BindTupleScalar(const Expr& expr,
@@ -465,8 +377,8 @@ Result<Query> BuildDagQuery(const QueryBuilder& b) {
         base_filter =
             base_filter.valid() ? (base_filter && conjunct) : conjunct;
       } else {
-        ANKER_RETURN_IF_ERROR(
-            CheckBool(conjunct, b.sub_->dag->schema, "Filter"));
+        ANKER_RETURN_IF_ERROR(CheckBool(
+            TypeCheckTuple(conjunct, b.sub_->dag->schema), "Filter"));
         base_tuple_filters.push_back(conjunct);
       }
     } else {
@@ -479,13 +391,8 @@ Result<Query> BuildDagQuery(const QueryBuilder& b) {
   std::vector<DagOutCol> schema;
   if (b.table_ != nullptr) {
     if (base_filter.valid()) {
-      auto type = TypeCheck(base_filter, *b.table_);
-      if (!type.ok()) return type.status();
-      if (type.value() != ExprType::kBool) {
-        return Status::InvalidArgument("filter must be boolean, got " +
-                                       std::string(ExprTypeName(
-                                           type.value())));
-      }
+      ANKER_RETURN_IF_ERROR(
+          CheckBool(TypeCheck(base_filter, *b.table_), "filter"));
     }
     auto scan = BuildTableScan(b.table_, base_filter, all_names);
     if (!scan.ok()) return scan.status();
@@ -505,20 +412,16 @@ Result<Query> BuildDagQuery(const QueryBuilder& b) {
       join.build.sub = clause.input.sub();
       join.build.schema = clause.input.sub()->dag->schema;
       if (clause.input.filter().valid()) {
-        ANKER_RETURN_IF_ERROR(CheckBool(clause.input.filter(),
-                                        join.build.schema,
-                                        "join build filter"));
+        ANKER_RETURN_IF_ERROR(CheckBool(
+            TypeCheckTuple(clause.input.filter(), join.build.schema),
+            "join build filter"));
         join.build.sub_filters.push_back(clause.input.filter());
       }
     } else {
       if (clause.input.filter().valid()) {
-        auto type = TypeCheck(clause.input.filter(), *clause.input.table());
-        if (!type.ok()) return type.status();
-        if (type.value() != ExprType::kBool) {
-          return Status::InvalidArgument(
-              "join build filter must be boolean, got " +
-              std::string(ExprTypeName(type.value())));
-        }
+        ANKER_RETURN_IF_ERROR(CheckBool(
+            TypeCheck(clause.input.filter(), *clause.input.table()),
+            "join build filter"));
       }
       auto scan = BuildTableScan(clause.input.table(),
                                  clause.input.filter(), all_names);
@@ -575,7 +478,8 @@ Result<Query> BuildDagQuery(const QueryBuilder& b) {
         }
       }
       ANKER_RETURN_IF_ERROR(
-          CheckBool(clause.residual, combined, "join residual"));
+          CheckBool(TypeCheckTuple(clause.residual, combined),
+                    "join residual"));
       join.residual = clause.residual;
     }
 
@@ -614,7 +518,8 @@ Result<Query> BuildDagQuery(const QueryBuilder& b) {
 
     for (auto it = pending.begin(); it != pending.end();) {
       if (SchemaCovers(join.schema, it->second)) {
-        ANKER_RETURN_IF_ERROR(CheckBool(it->first, join.schema, "Filter"));
+        ANKER_RETURN_IF_ERROR(
+            CheckBool(TypeCheckTuple(it->first, join.schema), "Filter"));
         join.post_filters.push_back(it->first);
         it = pending.erase(it);
       } else {
@@ -727,7 +632,8 @@ Result<Query> BuildDagQuery(const QueryBuilder& b) {
     dag->agg.schema = out;
     schema = std::move(out);
     if (b.having_.valid()) {
-      ANKER_RETURN_IF_ERROR(CheckBool(b.having_, schema, "Having"));
+      ANKER_RETURN_IF_ERROR(
+          CheckBool(TypeCheckTuple(b.having_, schema), "Having"));
       dag->agg.having = b.having_;
     }
   }
@@ -811,7 +717,8 @@ Result<Query> BuildDagQuery(const QueryBuilder& b) {
 
   // ---- post filter / select / order / limit ------------------------------
   if (b.post_filter_.valid()) {
-    ANKER_RETURN_IF_ERROR(CheckBool(b.post_filter_, schema, "PostFilter"));
+    ANKER_RETURN_IF_ERROR(
+        CheckBool(TypeCheckTuple(b.post_filter_, schema), "PostFilter"));
     dag->final_filter = b.post_filter_;
   }
   if (!b.select_.empty()) {
@@ -871,10 +778,6 @@ Result<Query> BuildDagQuery(const QueryBuilder& b) {
     } else {
       add_columns(join.build.columns);
     }
-  }
-  plan->column_types.reserve(plan->columns.size());
-  for (storage::Column* c : plan->columns) {
-    plan->column_types.push_back(ExprTypeFor(c->type()));
   }
 
   std::vector<std::string> pnames;

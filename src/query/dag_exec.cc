@@ -162,7 +162,7 @@ Status RunBaseScan(const DagScan& scan, const engine::OlapContext& ctx,
   std::vector<BoundScalar> generics;
   generics.reserve(scan.generic_preds.size());
   for (const GenericPred& g : scan.generic_preds) {
-    auto bound = BindScalarFor(g.expr, scan.columns, scan.table, params);
+    auto bound = BindTupleScalar(g.expr, scan.schema, params);
     if (!bound.ok()) return bound.status();
     generics.push_back(bound.TakeValue());
   }

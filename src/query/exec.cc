@@ -95,11 +95,13 @@ struct BoundQuery {
 Status Bind(const CompiledQuery& plan, const Params& params,
             BoundQuery* bound) {
   bound->plan = &plan;
-  ANKER_RETURN_IF_ERROR(BindPreds(plan, params, &bound->preds));
+  ANKER_RETURN_IF_ERROR(BindPredsFor(plan.preds, plan.columns, plan.table,
+                                     params, &bound->preds));
   bound->generic.clear();
   for (const GenericPred& pred : plan.generic_preds) {
-    auto scalar =
-        BindScalarFor(pred.expr, plan.columns, plan.table, params);
+    // A fast-path plan shares its DAG plan's scan: same columns, same
+    // indexes, so generic predicates bind over that scan's schema.
+    auto scalar = BindTupleScalar(pred.expr, plan.dag->scan.schema, params);
     if (!scalar.ok()) return scalar.status();
     bound->generic.push_back(scalar.TakeValue());
   }

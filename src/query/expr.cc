@@ -24,10 +24,6 @@ Expr MakeBinary(ExprKind kind, Expr lhs, Expr rhs) {
   return Expr(std::move(node));
 }
 
-bool IsNumeric(ExprType type) {
-  return type == ExprType::kInt64 || type == ExprType::kDouble;
-}
-
 }  // namespace
 
 const char* ExprTypeName(ExprType type) {
@@ -135,24 +131,19 @@ Expr Between(Expr value, Expr lo, Expr hi) {
 namespace {
 
 Result<ExprType> TypeCheckNode(const ExprNode* node,
-                               const storage::Table& table) {
+                               const ColumnTypeResolver& resolve) {
   switch (node->kind) {
-    case ExprKind::kColumn: {
-      if (!table.HasColumn(node->name)) {
-        return Status::NotFound("table '" + table.name() +
-                                "' has no column '" + node->name + "'");
-      }
-      return ExprTypeFor(table.GetColumn(node->name)->type());
-    }
+    case ExprKind::kColumn:
+      return resolve(node->name);
     case ExprKind::kLiteral:
     case ExprKind::kParam:
       return node->type;
     case ExprKind::kAdd:
     case ExprKind::kSub:
     case ExprKind::kMul: {
-      auto lhs = TypeCheckNode(node->lhs.get(), table);
+      auto lhs = TypeCheckNode(node->lhs.get(), resolve);
       if (!lhs.ok()) return lhs;
-      auto rhs = TypeCheckNode(node->rhs.get(), table);
+      auto rhs = TypeCheckNode(node->rhs.get(), resolve);
       if (!rhs.ok()) return rhs;
       const ExprType lt = lhs.value();
       const ExprType rt = rhs.value();
@@ -176,9 +167,9 @@ Result<ExprType> TypeCheckNode(const ExprNode* node,
     case ExprKind::kGe:
     case ExprKind::kEq:
     case ExprKind::kNe: {
-      auto lhs = TypeCheckNode(node->lhs.get(), table);
+      auto lhs = TypeCheckNode(node->lhs.get(), resolve);
       if (!lhs.ok()) return lhs;
-      auto rhs = TypeCheckNode(node->rhs.get(), table);
+      auto rhs = TypeCheckNode(node->rhs.get(), resolve);
       if (!rhs.ok()) return rhs;
       const ExprType lt = lhs.value();
       const ExprType rt = rhs.value();
@@ -209,9 +200,9 @@ Result<ExprType> TypeCheckNode(const ExprNode* node,
     }
     case ExprKind::kAnd:
     case ExprKind::kOr: {
-      auto lhs = TypeCheckNode(node->lhs.get(), table);
+      auto lhs = TypeCheckNode(node->lhs.get(), resolve);
       if (!lhs.ok()) return lhs;
-      auto rhs = TypeCheckNode(node->rhs.get(), table);
+      auto rhs = TypeCheckNode(node->rhs.get(), resolve);
       if (!rhs.ok()) return rhs;
       if (lhs.value() != ExprType::kBool || rhs.value() != ExprType::kBool) {
         return Status::InvalidArgument(
@@ -224,17 +215,29 @@ Result<ExprType> TypeCheckNode(const ExprNode* node,
   return Status::Internal("unhandled expression kind");
 }
 
+}  // namespace
+
+Result<ExprType> TypeCheck(const Expr& expr,
+                           const ColumnTypeResolver& resolve) {
+  if (!expr.valid()) return Status::InvalidArgument("empty expression");
+  return TypeCheckNode(expr.node(), resolve);
+}
+
+Result<ExprType> TypeCheck(const Expr& expr, const storage::Table& table) {
+  return TypeCheck(expr, [&table](const std::string& name)
+                             -> Result<ExprType> {
+    if (!table.HasColumn(name)) {
+      return Status::NotFound("table '" + table.name() +
+                              "' has no column '" + name + "'");
+    }
+    return ExprTypeFor(table.GetColumn(name)->type());
+  });
+}
+
 bool IsConstNode(const ExprNode* node) {
   if (node == nullptr) return true;
   if (node->kind == ExprKind::kColumn) return false;
   return IsConstNode(node->lhs.get()) && IsConstNode(node->rhs.get());
-}
-
-}  // namespace
-
-Result<ExprType> TypeCheck(const Expr& expr, const storage::Table& table) {
-  if (!expr.valid()) return Status::InvalidArgument("empty expression");
-  return TypeCheckNode(expr.node(), table);
 }
 
 bool IsConstExpr(const Expr& expr) {

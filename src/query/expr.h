@@ -1,6 +1,7 @@
 #ifndef ANKER_QUERY_EXPR_H_
 #define ANKER_QUERY_EXPR_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -23,6 +24,11 @@ enum class ExprType : uint8_t {
 };
 
 const char* ExprTypeName(ExprType type);
+
+/// Arithmetic operand types (int64 promotes to double when mixed).
+inline bool IsNumeric(ExprType type) {
+  return type == ExprType::kInt64 || type == ExprType::kDouble;
+}
 
 /// ExprType of a storage column type.
 ExprType ExprTypeFor(storage::ValueType type);
@@ -121,17 +127,28 @@ Expr Between(Expr value, Expr lo, Expr hi);
 
 /// ---- type checking ------------------------------------------------------
 
-/// Infers the type of `expr` against `table`'s schema, enforcing the
-/// typing rules (arithmetic over numeric types with int->double
+/// Type of a column name at the checked position; NotFound when the name
+/// is unknown there.
+using ColumnTypeResolver =
+    std::function<Result<ExprType>(const std::string& name)>;
+
+/// Infers the type of `expr` with column types from `resolve`, enforcing
+/// the typing rules (arithmetic over numeric types with int->double
 /// promotion, date +/- int64 day offsets, equality-only dictionary
 /// comparisons, boolean conjunctions). Returns InvalidArgument on a type
-/// error and NotFound for unknown columns.
+/// error and the resolver's status for unknown columns.
+Result<ExprType> TypeCheck(const Expr& expr,
+                           const ColumnTypeResolver& resolve);
+
+/// TypeCheck against `table`'s schema (NotFound for unknown columns).
 Result<ExprType> TypeCheck(const Expr& expr, const storage::Table& table);
 
 /// True when the expression references no columns (literals, params and
 /// arithmetic over them) — such expressions are foldable to a constant at
 /// bind time and may appear as predicate bounds.
 bool IsConstExpr(const Expr& expr);
+/// Node-level IsConstExpr; a null node counts as constant.
+bool IsConstNode(const ExprNode* node);
 
 }  // namespace anker::query
 

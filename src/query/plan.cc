@@ -9,10 +9,6 @@ namespace anker::query {
 
 namespace {
 
-bool IsNumeric(ExprType type) {
-  return type == ExprType::kInt64 || type == ExprType::kDouble;
-}
-
 double ConstAsDouble(const ConstValue& v) {
   switch (v.type) {
     case ExprType::kDouble:
@@ -44,15 +40,6 @@ Result<uint16_t> ColumnSet::Use(const std::string& name) {
   names_.push_back(name);
   columns_.push_back(table_->GetColumn(name));
   return static_cast<uint16_t>(names_.size() - 1);
-}
-
-std::vector<ExprType> ColumnSet::types() const {
-  std::vector<ExprType> types;
-  types.reserve(columns_.size());
-  for (const storage::Column* column : columns_) {
-    types.push_back(ExprTypeFor(column->type()));
-  }
-  return types;
 }
 
 Result<ConstValue> EvalConstExpr(const ExprNode* node, const Params& params) {
@@ -125,12 +112,6 @@ Result<ConstValue> EvalConstExpr(const ExprNode* node, const Params& params) {
 }
 
 namespace {
-
-bool IsConstNode(const ExprNode* node) {
-  if (node == nullptr) return true;
-  if (node->kind == ExprKind::kColumn) return false;
-  return IsConstNode(node->lhs.get()) && IsConstNode(node->rhs.get());
-}
 
 /// Tries to lower one conjunct into a SimplePred; returns false when the
 /// term is not of the `col <op> const` shape.
@@ -227,11 +208,6 @@ Status RegisterColumns(const ExprNode* node, ColumnSet* cols) {
 }
 
 }  // namespace
-
-Status RegisterExprColumns(const Expr& expr, ColumnSet* cols) {
-  if (!expr.valid()) return Status::OK();
-  return RegisterColumns(expr.node(), cols);
-}
 
 Status LowerFilter(const Expr& filter, ColumnSet* cols,
                    std::vector<SimplePred>* preds,
@@ -385,172 +361,6 @@ Status BindPredsFor(const std::vector<SimplePred>& preds,
     if (!merged) out->push_back(bound);
   }
   return Status::OK();
-}
-
-Status BindPreds(const CompiledQuery& plan, const Params& params,
-                 std::vector<BoundPred>* out) {
-  return BindPredsFor(plan.preds, plan.columns, plan.table, params, out);
-}
-
-namespace {
-
-/// The text of a string operand (Str literal or param bound as a string),
-/// if `node` is one.
-bool StringOperandText(const ExprNode* node, const Params& params,
-                       std::string* text) {
-  if (node->kind == ExprKind::kLiteral && node->is_string) {
-    *text = node->text;
-    return true;
-  }
-  if (node->kind == ExprKind::kParam) {
-    const Params::Value* value = params.Find(node->name);
-    if (value != nullptr && value->is_string) {
-      *text = value->text;
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Clones an expression, folding params into literals and resolving
-/// column references to plan indexes (stored in `raw`, with the column's
-/// type recorded for decoding).
-Result<std::shared_ptr<const ExprNode>> BindScalarNode(
-    const ExprNode* node, const std::vector<storage::Column*>& columns,
-    storage::Table* table, const Params& params, ColumnSet* cols) {
-  auto out = std::make_shared<ExprNode>();
-  out->kind = node->kind;
-  switch (node->kind) {
-    case ExprKind::kColumn: {
-      uint16_t index = 0;
-      if (cols != nullptr) {
-        auto use = cols->Use(node->name);
-        if (!use.ok()) return use.status();
-        index = use.value();
-        out->type = ExprTypeFor(
-            cols->columns()[index]->type());
-      } else {
-        bool found = false;
-        for (size_t i = 0; i < columns.size(); ++i) {
-          if (columns[i]->name() == node->name) {
-            index = static_cast<uint16_t>(i);
-            out->type = ExprTypeFor(columns[i]->type());
-            found = true;
-            break;
-          }
-        }
-        if (!found) {
-          return Status::Internal("column '" + node->name +
-                                  "' missing from plan column set");
-        }
-      }
-      out->name = node->name;
-      out->raw = index;
-      return std::shared_ptr<const ExprNode>(std::move(out));
-    }
-    case ExprKind::kLiteral: {
-      if (node->is_string) {
-        return Status::InvalidArgument(
-            "string literal is only valid in a dictionary equality "
-            "predicate");
-      }
-      out->type = node->type;
-      out->raw = node->raw;
-      return std::shared_ptr<const ExprNode>(std::move(out));
-    }
-    case ExprKind::kParam: {
-      auto value = EvalConstExpr(node, params);
-      if (!value.ok()) return value.status();
-      out->kind = ExprKind::kLiteral;
-      out->type = value.value().type;
-      out->raw = value.value().raw;
-      return std::shared_ptr<const ExprNode>(std::move(out));
-    }
-    case ExprKind::kEq:
-    case ExprKind::kNe: {
-      // Dictionary equality by text: resolve the string side through the
-      // compared column's dictionary (mirrors BindOnePred, so a dict
-      // equality nested under OR binds the same way a conjunct does).
-      std::string text;
-      const ExprNode* col_side = nullptr;
-      bool lhs_is_text = false;
-      if (StringOperandText(node->lhs.get(), params, &text)) {
-        col_side = node->rhs.get();
-        lhs_is_text = true;
-      } else if (StringOperandText(node->rhs.get(), params, &text)) {
-        col_side = node->lhs.get();
-      }
-      if (col_side != nullptr) {
-        if (col_side->kind != ExprKind::kColumn) {
-          return Status::InvalidArgument(
-              "string compare requires a dictionary column operand");
-        }
-        auto bound_col =
-            BindScalarNode(col_side, columns, table, params, cols);
-        if (!bound_col.ok()) return bound_col.status();
-        if (bound_col.value()->type != ExprType::kDict) {
-          return Status::InvalidArgument(
-              "string compare against non-dict column '" +
-              col_side->name + "'");
-        }
-        const storage::Dictionary* dict =
-            table != nullptr ? table->GetDictionary(col_side->name)
-                             : nullptr;
-        if (dict == nullptr) {
-          return Status::InvalidArgument(
-              "string compare against non-dict column '" +
-              col_side->name + "'");
-        }
-        auto code = dict->Lookup(text);
-        if (!code.ok()) {
-          return Status::NotFound("value '" + text +
-                                  "' not in dictionary of column '" +
-                                  col_side->name + "'");
-        }
-        auto lit_node = std::make_shared<ExprNode>();
-        lit_node->kind = ExprKind::kLiteral;
-        lit_node->type = ExprType::kDict;
-        lit_node->raw = storage::EncodeDict(code.value());
-        out->lhs = lhs_is_text
-                       ? std::shared_ptr<const ExprNode>(lit_node)
-                       : bound_col.TakeValue();
-        out->rhs = lhs_is_text
-                       ? bound_col.TakeValue()
-                       : std::shared_ptr<const ExprNode>(lit_node);
-        return std::shared_ptr<const ExprNode>(std::move(out));
-      }
-      [[fallthrough]];
-    }
-    default: {
-      auto lhs =
-          BindScalarNode(node->lhs.get(), columns, table, params, cols);
-      if (!lhs.ok()) return lhs.status();
-      auto rhs =
-          BindScalarNode(node->rhs.get(), columns, table, params, cols);
-      if (!rhs.ok()) return rhs.status();
-      out->lhs = lhs.TakeValue();
-      out->rhs = rhs.TakeValue();
-      return std::shared_ptr<const ExprNode>(std::move(out));
-    }
-  }
-}
-
-}  // namespace
-
-Result<BoundScalar> BindScalar(const Expr& expr, ColumnSet* cols,
-                               const Params& params) {
-  auto root = BindScalarNode(expr.node(), cols->columns(), cols->table(),
-                             params, cols);
-  if (!root.ok()) return root.status();
-  return BoundScalar{root.TakeValue()};
-}
-
-Result<BoundScalar> BindScalarFor(
-    const Expr& expr, const std::vector<storage::Column*>& columns,
-    storage::Table* table, const Params& params) {
-  auto root = BindScalarNode(expr.node(), columns, table, params, nullptr);
-  if (!root.ok()) return root.status();
-  return BoundScalar{root.TakeValue()};
 }
 
 ScalarValue EvalScalar(const ExprNode* node, const uint64_t* const* cols,

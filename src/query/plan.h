@@ -238,7 +238,6 @@ struct DagPlan;
 struct CompiledQuery {
   storage::Table* table = nullptr;
   std::vector<storage::Column*> columns;  ///< Deduplicated scan set.
-  std::vector<ExprType> column_types;
   std::vector<SimplePred> preds;
   std::vector<GenericPred> generic_preds;
   KeySpec key;
@@ -255,8 +254,9 @@ struct CompiledQuery {
   /// (deduplicated when an operand-sharing pattern matched).
   std::vector<uint16_t> fused_vals;
   /// Operator-DAG lowering of the same declaration (query/dag.h). Set on
-  /// every plan: kDag strategies execute it, fast-path strategies keep it
-  /// for ExecOptions::force_dag differential runs.
+  /// every plan: kDag strategies execute it; fast-path plans are lowered
+  /// from it (sharing its scan's columns and schema) and keep it for
+  /// ExecOptions::force_dag differential runs.
   std::shared_ptr<const DagPlan> dag;
   /// Every parameter name the plan (and its sub-plans) can bind, sorted:
   /// Execute rejects bindings outside this set as recoverable errors.
@@ -274,16 +274,14 @@ struct ConstValue {
 
 Result<ConstValue> EvalConstExpr(const ExprNode* node, const Params& params);
 
-/// Lowers a filter expression into simple + generic terms against the
-/// table. `col_index` maps an existing column name to its index in the
-/// plan's column set, appending new columns on demand.
+/// Column set of one base-table scan: maps a column name to its index,
+/// appending new columns on demand.
 class ColumnSet {
  public:
   explicit ColumnSet(storage::Table* table) : table_(table) {}
   /// Index of `name`, registering the column on first use.
   Result<uint16_t> Use(const std::string& name);
   const std::vector<storage::Column*>& columns() const { return columns_; }
-  std::vector<ExprType> types() const;
   storage::Table* table() const { return table_; }
 
  private:
@@ -292,18 +290,15 @@ class ColumnSet {
   std::vector<std::string> names_;
 };
 
+/// Lowers a filter expression into simple + generic terms against the
+/// set's table, registering every column the terms reference.
 Status LowerFilter(const Expr& filter, ColumnSet* cols,
                    std::vector<SimplePred>* preds,
                    std::vector<GenericPred>* generic);
 
-/// Registers every column an expression references with the column set.
-Status RegisterExprColumns(const Expr& expr, ColumnSet* cols);
-
 /// Binds simple predicates against params: folds bound expressions,
 /// resolves string literals through the column's dictionary, absorbs
 /// strictness into the closed range.
-Status BindPreds(const CompiledQuery& plan, const Params& params,
-                 std::vector<BoundPred>* out);
 Status BindPredsFor(const std::vector<SimplePred>& preds,
                     const std::vector<storage::Column*>& columns,
                     storage::Table* table, const Params& params,
@@ -326,17 +321,10 @@ inline bool PredsPass(const BoundPred* preds, size_t npreds,
 }
 
 /// A scalar expression bound for execution: params folded, column refs
-/// resolved to plan column indexes. Used by generic predicates and the
-/// semi-join passes.
+/// resolved to schema slots (see BindTupleScalar in dag.h).
 struct BoundScalar {
   std::shared_ptr<const ExprNode> root;
 };
-
-Result<BoundScalar> BindScalar(const Expr& expr, ColumnSet* cols,
-                               const Params& params);
-Result<BoundScalar> BindScalarFor(const Expr& expr,
-                                  const std::vector<storage::Column*>& columns,
-                                  storage::Table* table, const Params& params);
 
 /// Typed scalar evaluation over one row of block-local column spans.
 struct ScalarValue {

@@ -148,35 +148,6 @@ QueryBuilder& QueryBuilder::Limit(int64_t n) {
   return *this;
 }
 
-bool QueryBuilder::NeedsDag() const {
-  if (sub_ != nullptr || !joins_.empty() || having_.valid() || has_window_ ||
-      post_filter_.valid() || !select_.empty() || !order_by_.empty() ||
-      limit_ >= 0 || aggs_.empty()) {
-    return true;
-  }
-  for (const Agg& agg : aggs_) {
-    if (agg.kind() == AggKind::kCountDistinct) return true;
-  }
-  return false;
-}
-
-Result<Query> QueryBuilder::Build() const {
-  // The DAG lowering performs the full name / type validation for every
-  // declarable shape, so it runs first unconditionally; its plan also
-  // backs force_dag differential runs and server-side recompilation.
-  auto dag = BuildDagQuery(*this);
-  if (!dag.ok()) return dag.status();
-  if (NeedsDag()) return dag;
-  // Single-table filtered-aggregate shape: try the fused / vectorized
-  // kernels and graft the DAG plan on for force_dag; shapes those kernels
-  // reject (non-dict group keys, wide domains) run as a DAG instead.
-  auto fast = BuildFastPath();
-  if (!fast.ok()) return dag;
-  std::shared_ptr<CompiledQuery> plan = fast.TakeValue();
-  plan->dag = dag.value().plan().dag;
-  plan->param_names = dag.value().plan().param_names;
-  return Query(std::shared_ptr<const CompiledQuery>(std::move(plan)));
-}
 
 namespace {
 
@@ -187,6 +158,31 @@ uint32_t BitsFor(size_t domain) {
   uint32_t bits = 1;
   while ((size_t{1} << bits) < domain) ++bits;
   return bits;
+}
+
+/// True when the accepted DAG plan has a shape the fused / vectorized
+/// single-table kernels cannot run: anything beyond a filtered,
+/// optionally grouped aggregation over one base table.
+bool NeedsDag(const DagPlan& dag) {
+  if (dag.scan.table == nullptr || !dag.joins.empty() || !dag.agg.present ||
+      dag.agg.having.valid() || dag.window.present ||
+      dag.final_filter.valid() || !dag.select.empty() ||
+      !dag.order.empty() || dag.limit >= 0) {
+    return true;
+  }
+  for (const DagAggSpec& agg : dag.agg.aggs) {
+    if (agg.kind == AggKind::kCountDistinct) return true;
+  }
+  return false;
+}
+
+/// Slot of a column the DAG scan already projects (every column a
+/// fast-path declaration references is in its scan schema).
+uint16_t ScanSlot(const std::vector<DagOutCol>& schema,
+                  const std::string& name) {
+  const int slot = FindSlot(schema, name);
+  ANKER_CHECK(slot >= 0);
+  return static_cast<uint16_t>(slot);
 }
 
 /// Flattens a multiplication chain into its factors.
@@ -205,35 +201,35 @@ bool IsLiteralOne(const ExprNode* node) {
          storage::DecodeDouble(node->raw) == 1.0;
 }
 
-bool IsDoubleCol(const ExprNode* node, const ColumnSet& cols) {
-  return node->kind == ExprKind::kColumn &&
-         cols.table()->HasColumn(node->name) &&
-         cols.table()->GetColumn(node->name)->type() ==
-             storage::ValueType::kDouble;
+bool IsDoubleCol(const ExprNode* node, const std::vector<DagOutCol>& schema) {
+  if (node->kind != ExprKind::kColumn) return false;
+  const int slot = FindSlot(schema, node->name);
+  return slot >= 0 && schema[slot].type == ExprType::kDouble;
 }
 
 /// Classifies one multiplication factor for fused-form matching.
 enum class FactorKind { kCol, kOneMinusCol, kOnePlusCol, kOther };
 
-FactorKind ClassifyFactor(const ExprNode* node, const ColumnSet& cols,
+FactorKind ClassifyFactor(const ExprNode* node,
+                          const std::vector<DagOutCol>& schema,
                           const ExprNode** col_out) {
-  if (IsDoubleCol(node, cols)) {
+  if (IsDoubleCol(node, schema)) {
     *col_out = node;
     return FactorKind::kCol;
   }
   if (node->kind == ExprKind::kSub && IsLiteralOne(node->lhs.get()) &&
-      IsDoubleCol(node->rhs.get(), cols)) {
+      IsDoubleCol(node->rhs.get(), schema)) {
     *col_out = node->rhs.get();
     return FactorKind::kOneMinusCol;
   }
   if (node->kind == ExprKind::kAdd) {
     if (IsLiteralOne(node->lhs.get()) &&
-        IsDoubleCol(node->rhs.get(), cols)) {
+        IsDoubleCol(node->rhs.get(), schema)) {
       *col_out = node->rhs.get();
       return FactorKind::kOnePlusCol;
     }
     if (IsLiteralOne(node->rhs.get()) &&
-        IsDoubleCol(node->lhs.get(), cols)) {
+        IsDoubleCol(node->lhs.get(), schema)) {
       *col_out = node->lhs.get();
       return FactorKind::kOnePlusCol;
     }
@@ -244,15 +240,14 @@ FactorKind ClassifyFactor(const ExprNode* node, const ColumnSet& cols,
 /// Tries to match an aggregate input expression onto the fused form menu
 /// (double columns only — the kernels read raw slots as doubles).
 /// Returns kExpr when the shape is outside the menu.
-AggForm MatchForm(AggKind kind, const ExprNode* node, ColumnSet* cols,
-                  uint16_t* a, uint16_t* b, uint16_t* c) {
+AggForm MatchForm(AggKind kind, const ExprNode* node,
+                  const std::vector<DagOutCol>& schema, uint16_t* a,
+                  uint16_t* b, uint16_t* c) {
   auto use = [&](const ExprNode* col_node, uint16_t* out) {
-    auto index = cols->Use(col_node->name);
-    ANKER_CHECK(index.ok());  // Registered during type checking.
-    *out = index.value();
+    *out = ScanSlot(schema, col_node->name);
   };
   if (kind == AggKind::kMin || kind == AggKind::kMax) {
-    if (IsDoubleCol(node, *cols)) {
+    if (IsDoubleCol(node, schema)) {
       use(node, a);
       return kind == AggKind::kMin ? AggForm::kMin : AggForm::kMax;
     }
@@ -264,7 +259,7 @@ AggForm MatchForm(AggKind kind, const ExprNode* node, ColumnSet* cols,
   const ExprNode* cols_found[3] = {nullptr, nullptr, nullptr};
   if (factors.size() == 1) {
     const ExprNode* col = nullptr;
-    if (ClassifyFactor(factors[0], *cols, &col) == FactorKind::kCol) {
+    if (ClassifyFactor(factors[0], schema, &col) == FactorKind::kCol) {
       use(col, a);
       return AggForm::kSum;
     }
@@ -273,8 +268,8 @@ AggForm MatchForm(AggKind kind, const ExprNode* node, ColumnSet* cols,
   if (factors.size() == 2) {
     const ExprNode* c0 = nullptr;
     const ExprNode* c1 = nullptr;
-    const FactorKind k0 = ClassifyFactor(factors[0], *cols, &c0);
-    const FactorKind k1 = ClassifyFactor(factors[1], *cols, &c1);
+    const FactorKind k0 = ClassifyFactor(factors[0], schema, &c0);
+    const FactorKind k1 = ClassifyFactor(factors[1], schema, &c1);
     if (k0 == FactorKind::kCol && k1 == FactorKind::kCol) {
       use(c0, a);
       use(c1, b);
@@ -294,9 +289,9 @@ AggForm MatchForm(AggKind kind, const ExprNode* node, ColumnSet* cols,
   }
   if (factors.size() == 3) {
     // a * (1 - b) * (1 + c), factors in evaluation order.
-    const FactorKind k0 = ClassifyFactor(factors[0], *cols, &cols_found[0]);
-    const FactorKind k1 = ClassifyFactor(factors[1], *cols, &cols_found[1]);
-    const FactorKind k2 = ClassifyFactor(factors[2], *cols, &cols_found[2]);
+    const FactorKind k0 = ClassifyFactor(factors[0], schema, &cols_found[0]);
+    const FactorKind k1 = ClassifyFactor(factors[1], schema, &cols_found[1]);
+    const FactorKind k2 = ClassifyFactor(factors[2], schema, &cols_found[2]);
     if (k0 == FactorKind::kCol && k1 == FactorKind::kOneMinusCol &&
         k2 == FactorKind::kOnePlusCol) {
       use(cols_found[0], a);
@@ -314,8 +309,8 @@ AggForm MatchForm(AggKind kind, const ExprNode* node, ColumnSet* cols,
 /// result.
 class VecCompiler {
  public:
-  VecCompiler(CompiledQuery* plan, ColumnSet* cols)
-      : plan_(plan), cols_(cols) {}
+  VecCompiler(CompiledQuery* plan, const std::vector<DagOutCol>& schema)
+      : plan_(plan), schema_(schema) {}
 
   Result<int> Compile(const std::shared_ptr<const ExprNode>& node) {
     const std::string sig = Signature(node.get());
@@ -323,18 +318,16 @@ class VecCompiler {
     if (it != memo_.end()) return it->second;
 
     VecInst inst;
-    if (IsConst(node.get())) {
+    if (IsConstNode(node.get())) {
       inst.op = VecOp::kConst;
       inst.cexpr = node;
     } else if (node->kind == ExprKind::kColumn) {
-      auto col = cols_->Use(node->name);
-      if (!col.ok()) return col.status();
-      inst.col = col.value();
-      switch (cols_->columns()[col.value()]->type()) {
-        case storage::ValueType::kDouble:
+      inst.col = ScanSlot(schema_, node->name);
+      switch (schema_[inst.col].type) {
+        case ExprType::kDouble:
           inst.op = VecOp::kLoadF64;
           break;
-        case storage::ValueType::kDict32:
+        case ExprType::kDict:
           inst.op = VecOp::kLoadDict;
           break;
         default:
@@ -344,8 +337,8 @@ class VecCompiler {
     } else if (node->kind == ExprKind::kAdd ||
                node->kind == ExprKind::kSub ||
                node->kind == ExprKind::kMul) {
-      const bool lconst = IsConst(node->lhs.get());
-      const bool rconst = IsConst(node->rhs.get());
+      const bool lconst = IsConstNode(node->lhs.get());
+      const bool rconst = IsConstNode(node->rhs.get());
       if (lconst && !rconst) {
         auto temp = Compile(node->rhs);
         if (!temp.ok()) return temp;
@@ -396,12 +389,6 @@ class VecCompiler {
   }
 
  private:
-  static bool IsConst(const ExprNode* node) {
-    if (node == nullptr) return true;
-    if (node->kind == ExprKind::kColumn) return false;
-    return IsConst(node->lhs.get()) && IsConst(node->rhs.get());
-  }
-
   std::string Signature(const ExprNode* node) {
     if (node == nullptr) return "_";
     std::string sig(1, static_cast<char>('A' + static_cast<int>(node->kind)));
@@ -419,53 +406,39 @@ class VecCompiler {
   }
 
   CompiledQuery* plan_;
-  ColumnSet* cols_;
+  const std::vector<DagOutCol>& schema_;
   std::map<std::string, int> memo_;
 };
 
-}  // namespace
-
-Result<std::shared_ptr<CompiledQuery>> QueryBuilder::BuildFastPath() const {
-  if (table_ == nullptr) {
-    return Status::InvalidArgument("Query::On requires a table");
-  }
-  if (aggs_.empty()) {
-    return Status::InvalidArgument("a query needs at least one aggregate");
-  }
-
-  auto plan = std::make_shared<CompiledQuery>();
-  plan->table = table_;
-  ColumnSet cols(table_);
-
-  // ---- filter: type check, then split into simple + generic terms ----
-  if (filter_.valid()) {
-    auto type = TypeCheck(filter_, *table_);
-    if (!type.ok()) return type.status();
-    if (type.value() != ExprType::kBool) {
-      return Status::InvalidArgument(
-          std::string("filter must be boolean, got ") +
-          ExprTypeName(type.value()));
-    }
-    ANKER_RETURN_IF_ERROR(
-        LowerFilter(filter_, &cols, &plan->preds, &plan->generic_preds));
-  }
+/// Lowers an accepted single-table DAG plan onto the fused / vectorized
+/// kernels. The DAG lowering already resolved, type-checked and named
+/// everything; this adds only what those kernels need: packed dictionary
+/// group keys, fused-form matching, the temp program and the slot layout.
+/// Fails (NotSupported) on shapes the kernels cannot take, such as
+/// non-dictionary or wide group keys; those run as a DAG.
+Result<std::shared_ptr<const CompiledQuery>> BuildFastPath(
+    const CompiledQuery& dag_plan) {
+  const DagScan& scan = dag_plan.dag->scan;
+  const DagAggregate& agg = dag_plan.dag->agg;
+  // One base-table scan: the plan's column set is the scan's, so the
+  // scan's column indexes (predicates, schema slots) carry over as-is.
+  auto plan = std::make_shared<CompiledQuery>(dag_plan);
+  plan->preds = scan.preds;
+  plan->generic_preds = scan.generic_preds;
 
   // ---- group key: packed small-domain dictionary codes ----
   uint32_t total_bits = 0;
-  for (const std::string& name : group_by_) {
-    auto index = cols.Use(name);
-    if (!index.ok()) return index.status();
-    storage::Column* column = table_->GetColumn(name);
-    if (column->type() != storage::ValueType::kDict32) {
+  for (const uint16_t col : agg.group_cols) {
+    const DagOutCol& key = scan.schema[col];
+    if (key.type != ExprType::kDict) {
       return Status::NotSupported(
-          "GroupBy supports dictionary-encoded columns, '" + name +
-          "' is " + ExprTypeName(ExprTypeFor(column->type())));
+          "GroupBy supports dictionary-encoded columns, '" + key.name +
+          "' is " + ExprTypeName(key.type));
     }
-    const storage::Dictionary* dict = table_->GetDictionary(name);
-    const uint32_t bits = BitsFor(std::max<size_t>(dict->size(), 2));
-    plan->key.cols.push_back(index.value());
+    const uint32_t bits = BitsFor(std::max<size_t>(key.dict->size(), 2));
+    plan->key.cols.push_back(col);
     plan->key.bits.push_back(bits);
-    plan->key_names.push_back(name);
+    plan->key_names.push_back(key.name);
     total_bits += bits;
     if (total_bits > 31 || (uint32_t{1} << total_bits) > kMaxGroups) {
       return Status::NotSupported(
@@ -476,47 +449,24 @@ Result<std::shared_ptr<CompiledQuery>> QueryBuilder::BuildFastPath() const {
   plan->key.num_groups = plan->key.grouped() ? (uint32_t{1} << total_bits)
                                              : 1;
 
-  // ---- aggregates: type check, fused-form matching, temp program ----
-  VecCompiler compiler(plan.get(), &cols);
+  // ---- aggregates: fused-form matching, temp program ----
+  VecCompiler compiler(plan.get(), scan.schema);
   int declared_count_slot = -1;
-  for (size_t i = 0; i < aggs_.size(); ++i) {
-    const Agg& agg = aggs_[i];
+  for (size_t i = 0; i < agg.aggs.size(); ++i) {
+    const DagAggSpec& decl = agg.aggs[i];
     AggSpec spec;
-    spec.kind = agg.kind();
-    spec.name = agg.name().empty() ? "agg" + std::to_string(i) : agg.name();
+    spec.kind = decl.kind;
+    spec.name = decl.name;
     spec.slot = static_cast<int>(i);
-    for (size_t j = 0; j < i; ++j) {
-      if (plan->aggs[j].name == spec.name) {
-        return Status::InvalidArgument("duplicate aggregate name '" +
-                                       spec.name + "'");
-      }
-    }
-    if (agg.kind() == AggKind::kCount) {
+    if (decl.kind == AggKind::kCount) {
       spec.form = AggForm::kCount;
       if (declared_count_slot < 0) declared_count_slot = spec.slot;
     } else {
-      if (!agg.expr().valid()) {
-        return Status::InvalidArgument("aggregate '" + spec.name +
-                                       "' needs an input expression");
-      }
-      auto type = TypeCheck(agg.expr(), *table_);
-      if (!type.ok()) return type.status();
-      const bool minmax =
-          agg.kind() == AggKind::kMin || agg.kind() == AggKind::kMax;
-      const bool ok_type = type.value() == ExprType::kInt64 ||
-                           type.value() == ExprType::kDouble ||
-                           (minmax && type.value() == ExprType::kDate);
-      if (!ok_type) {
-        return Status::InvalidArgument(
-            std::string("cannot aggregate over ") +
-            ExprTypeName(type.value()) + " (aggregate '" + spec.name +
-            "')");
-      }
-      spec.expr = agg.expr();
-      spec.form = MatchForm(agg.kind(), agg.expr().node(), &cols, &spec.a,
-                            &spec.b, &spec.c);
+      spec.expr = decl.expr;
+      spec.form = MatchForm(decl.kind, decl.expr.node(), scan.schema,
+                            &spec.a, &spec.b, &spec.c);
       if (spec.form == AggForm::kExpr) {
-        auto temp = compiler.Compile(agg.expr().shared());
+        auto temp = compiler.Compile(decl.expr.shared());
         if (!temp.ok()) return temp.status();
         spec.temp = temp.value();
       }
@@ -550,19 +500,6 @@ Result<std::shared_ptr<CompiledQuery>> QueryBuilder::BuildFastPath() const {
         std::to_string(plan->total_slots) + " > " +
         std::to_string(kMaxTotalSlots) + " slots)");
   }
-
-  // A plan referencing no column at all (bare unfiltered count) still
-  // needs one scan spine: the driver takes row count and block metadata
-  // from its readers. Same fallback as the DAG's BuildTableScan.
-  if (cols.columns().empty()) {
-    if (table_->schema().empty()) {
-      return Status::InvalidArgument("table '" + table_->name() +
-                                     "' has no columns");
-    }
-    ANKER_RETURN_IF_ERROR(cols.Use(table_->schema()[0].name).status());
-  }
-  plan->columns = cols.columns();
-  plan->column_types = cols.types();
 
   // ---- strategy selection ----
   if (!plan->key.grouped()) {
@@ -613,7 +550,23 @@ Result<std::shared_ptr<CompiledQuery>> QueryBuilder::BuildFastPath() const {
                                             : ExecStrategy::kGroupedVec;
   }
 
-  return plan;
+  return std::shared_ptr<const CompiledQuery>(std::move(plan));
+}
+
+}  // namespace
+
+Result<Query> QueryBuilder::Build() const {
+  // The DAG lowering performs the full name / type validation for every
+  // declarable shape, so it runs first unconditionally; its plan also
+  // backs force_dag differential runs and server-side recompilation.
+  auto dag = BuildDagQuery(*this);
+  if (!dag.ok() || NeedsDag(*dag.value().plan().dag)) return dag;
+  // Single-table filtered-aggregate shape: lower it once more onto the
+  // fused / vectorized kernels; shapes those kernels reject (non-dict
+  // group keys, wide domains) run as a DAG instead.
+  auto fast = BuildFastPath(dag.value().plan());
+  if (!fast.ok()) return dag;
+  return Query(fast.TakeValue());
 }
 
 }  // namespace anker::query

@@ -320,12 +320,6 @@ class QueryBuilder {
  private:
   friend Result<Query> BuildDagQuery(const QueryBuilder& builder);
 
-  /// The original single-table filtered-aggregate lowering (fused /
-  /// vectorized strategies). Fails on shapes only the DAG handles.
-  Result<std::shared_ptr<CompiledQuery>> BuildFastPath() const;
-  /// True when the declared shape can only run as a DAG.
-  bool NeedsDag() const;
-
   storage::Table* table_ = nullptr;
   std::shared_ptr<const CompiledQuery> sub_;
   Expr filter_;

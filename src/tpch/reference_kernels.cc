@@ -8,6 +8,7 @@
 namespace anker::tpch {
 
 using engine::ColumnReader;
+using engine::ScanBlock;
 using engine::ScanDriver;
 using storage::DecodeDate;
 using storage::DecodeDict;
@@ -101,24 +102,27 @@ OlapResult ReferenceKernels::RunQ1(const engine::OlapContext& ctx,
                      &discount, &tax});
   OlapResult result;
   Acc total{};
-  driver.Fold<Acc>(
+  driver.FoldBlockwise<Acc>(
       &total,
-      [&](Acc& acc, const auto& row) {
-        ++acc.rows;
-        if (DecodeDate(row.Col(0)) > cutoff) return;
-        const uint32_t flag = DecodeDict(row.Col(1)) & 7;
-        const uint32_t ls = DecodeDict(row.Col(2)) & 7;
-        Group& g = acc.groups[flag * 8 + ls];
-        const double qty = DecodeDouble(row.Col(3));
-        const double price = DecodeDouble(row.Col(4));
-        const double disc = DecodeDouble(row.Col(5));
-        const double tx = DecodeDouble(row.Col(6));
-        g.sum_qty += qty;
-        g.sum_base += price;
-        g.sum_disc += price * (1.0 - disc);
-        g.sum_charge += price * (1.0 - disc) * (1.0 + tx);
-        g.sum_discount += disc;
-        ++g.count;
+      [&](Acc& acc, const ScanBlock& block) {
+        const uint64_t* const* c = block.cols;
+        acc.rows += block.rows;
+        for (size_t r = 0; r < block.rows; ++r) {
+          if (DecodeDate(c[0][r]) > cutoff) continue;
+          const uint32_t flag = DecodeDict(c[1][r]) & 7;
+          const uint32_t ls = DecodeDict(c[2][r]) & 7;
+          Group& g = acc.groups[flag * 8 + ls];
+          const double qty = DecodeDouble(c[3][r]);
+          const double price = DecodeDouble(c[4][r]);
+          const double disc = DecodeDouble(c[5][r]);
+          const double tx = DecodeDouble(c[6][r]);
+          g.sum_qty += qty;
+          g.sum_base += price;
+          g.sum_disc += price * (1.0 - disc);
+          g.sum_charge += price * (1.0 - disc) * (1.0 + tx);
+          g.sum_discount += disc;
+          ++g.count;
+        }
       },
       [](Acc& into, Acc&& from) {
         into.rows += from.rows;
@@ -161,13 +165,16 @@ OlapResult ReferenceKernels::RunQ4(const engine::OlapContext& ctx,
   ScanDriver driver({&orderdate, &priority});
   OlapResult result;
   Acc total{};
-  driver.Fold<Acc>(
+  driver.FoldBlockwise<Acc>(
       &total,
-      [&](Acc& acc, const auto& row) {
-        ++acc.rows;
-        const int64_t date = DecodeDate(row.Col(0));
-        if (date < lo || date >= hi) return;
-        ++acc.counts[DecodeDict(row.Col(1)) & 15];
+      [&](Acc& acc, const ScanBlock& block) {
+        const uint64_t* const* c = block.cols;
+        acc.rows += block.rows;
+        for (size_t r = 0; r < block.rows; ++r) {
+          const int64_t date = DecodeDate(c[0][r]);
+          if (date < lo || date >= hi) continue;
+          ++acc.counts[DecodeDict(c[1][r]) & 15];
+        }
       },
       [](Acc& into, Acc&& from) {
         into.rows += from.rows;
@@ -206,16 +213,19 @@ OlapResult ReferenceKernels::RunQ6(const engine::OlapContext& ctx,
   ScanDriver driver({&shipdate, &discount, &quantity, &extprice});
   OlapResult result;
   Acc total{};
-  driver.Fold<Acc>(
+  driver.FoldBlockwise<Acc>(
       &total,
-      [&](Acc& acc, const auto& row) {
-        ++acc.rows;
-        const int64_t date = DecodeDate(row.Col(0));
-        if (date < lo || date >= hi) return;
-        const double disc = DecodeDouble(row.Col(1));
-        if (disc < disc_lo || disc > disc_hi) return;
-        if (DecodeDouble(row.Col(2)) >= params.q6_quantity) return;
-        acc.revenue += DecodeDouble(row.Col(3)) * disc;
+      [&](Acc& acc, const ScanBlock& block) {
+        const uint64_t* const* c = block.cols;
+        acc.rows += block.rows;
+        for (size_t r = 0; r < block.rows; ++r) {
+          const int64_t date = DecodeDate(c[0][r]);
+          if (date < lo || date >= hi) continue;
+          const double disc = DecodeDouble(c[1][r]);
+          if (disc < disc_lo || disc > disc_hi) continue;
+          if (DecodeDouble(c[2][r]) >= params.q6_quantity) continue;
+          acc.revenue += DecodeDouble(c[3][r]) * disc;
+        }
       },
       [](Acc& into, Acc&& from) {
         into.revenue += from.revenue;
@@ -250,12 +260,15 @@ OlapResult ReferenceKernels::RunQ17(const engine::OlapContext& ctx,
   };
   ScanDriver part_driver({&partkey, &brand, &container});
   PartAcc qualifying{};
-  part_driver.Fold<PartAcc>(
+  part_driver.FoldBlockwise<PartAcc>(
       &qualifying,
-      [&](PartAcc& acc, const auto& row) {
-        if (DecodeDict(row.Col(1)) != params.q17_brand_code) return;
-        if (DecodeDict(row.Col(2)) != params.q17_container_code) return;
-        acc.keys.insert(DecodeInt64(row.Col(0)));
+      [&](PartAcc& acc, const ScanBlock& block) {
+        const uint64_t* const* c = block.cols;
+        for (size_t r = 0; r < block.rows; ++r) {
+          if (DecodeDict(c[1][r]) != params.q17_brand_code) continue;
+          if (DecodeDict(c[2][r]) != params.q17_container_code) continue;
+          acc.keys.insert(DecodeInt64(c[0][r]));
+        }
       },
       [](PartAcc& into, PartAcc&& from) {
         into.keys.merge(from.keys);
@@ -272,14 +285,17 @@ OlapResult ReferenceKernels::RunQ17(const engine::OlapContext& ctx,
   };
   ScanDriver li_driver({&l_partkey, &l_quantity, &l_extprice});
   Pass1Acc per_part{};
-  li_driver.Fold<Pass1Acc>(
+  li_driver.FoldBlockwise<Pass1Acc>(
       &per_part,
-      [&](Pass1Acc& acc, const auto& row) {
-        const int64_t key = DecodeInt64(row.Col(0));
-        if (qualifying.keys.count(key) == 0) return;
-        QtyStats& stats = acc.stats[key];
-        stats.sum += DecodeDouble(row.Col(1));
-        ++stats.count;
+      [&](Pass1Acc& acc, const ScanBlock& block) {
+        const uint64_t* const* c = block.cols;
+        for (size_t r = 0; r < block.rows; ++r) {
+          const int64_t key = DecodeInt64(c[0][r]);
+          if (qualifying.keys.count(key) == 0) continue;
+          QtyStats& stats = acc.stats[key];
+          stats.sum += DecodeDouble(c[1][r]);
+          ++stats.count;
+        }
       },
       [](Pass1Acc& into, Pass1Acc&& from) {
         for (auto& [key, stats] : from.stats) {
@@ -296,17 +312,20 @@ OlapResult ReferenceKernels::RunQ17(const engine::OlapContext& ctx,
     uint64_t rows = 0;
   };
   Pass2Acc total{};
-  li_driver.Fold<Pass2Acc>(
+  li_driver.FoldBlockwise<Pass2Acc>(
       &total,
-      [&](Pass2Acc& acc, const auto& row) {
-        ++acc.rows;
-        const int64_t key = DecodeInt64(row.Col(0));
-        auto it = per_part.stats.find(key);
-        if (it == per_part.stats.end() || it->second.count == 0) return;
-        const double avg_qty =
-            it->second.sum / static_cast<double>(it->second.count);
-        if (DecodeDouble(row.Col(1)) < 0.2 * avg_qty) {
-          acc.revenue += DecodeDouble(row.Col(2));
+      [&](Pass2Acc& acc, const ScanBlock& block) {
+        const uint64_t* const* c = block.cols;
+        acc.rows += block.rows;
+        for (size_t r = 0; r < block.rows; ++r) {
+          const int64_t key = DecodeInt64(c[0][r]);
+          auto it = per_part.stats.find(key);
+          if (it == per_part.stats.end() || it->second.count == 0) continue;
+          const double avg_qty =
+              it->second.sum / static_cast<double>(it->second.count);
+          if (DecodeDouble(c[1][r]) < 0.2 * avg_qty) {
+            acc.revenue += DecodeDouble(c[2][r]);
+          }
         }
       },
       [](Pass2Acc& into, Pass2Acc&& from) {

@@ -24,11 +24,10 @@ constexpr uint32_t kColumnMagic = 0x314C4341u;    // "ACL1"
 // Incremental column image: extent references instead of slot bytes.
 constexpr uint32_t kColumnExtMagic = 0x324C4341u;  // "ACL2"
 constexpr uint32_t kIndexMagic = 0x31584941u;     // "AIX1"
-// v2 ("ANKRMFT2"): manifests carry the covered WAL LSN (wal_lsn) so
-// replicas know where to resume the log stream after a bootstrap.
-constexpr uint64_t kManifestMagicV2 = 0x3254464D524B4E41ULL;  // "ANKRMFT2"
-// v3 ("ANKRMFT3"): adds the cold-tier section (extent-id watermark and
-// referenced-extent list) after the 2PC section. v2 still decodes.
+// "ANKRMFT3": the covered WAL LSN (wal_lsn, where replicas resume the
+// log stream after a bootstrap), the tables, the 2PC section and the
+// cold-tier section (extent-id watermark and referenced-extent list).
+// Older manifest versions are rejected as malformed.
 constexpr uint64_t kManifestMagic = 0x3354464D524B4E41ULL;  // "ANKRMFT3"
 constexpr size_t kExtentRefBytes = 8 + 8 + 8 + 4 + 4;
 constexpr size_t kBlobHeaderBytes = 4 + 4 + 8;
@@ -108,14 +107,12 @@ Status DecodeManifest(std::string_view in, CheckpointManifest* m) {
   const Status malformed = Status::IoError("malformed checkpoint manifest");
   uint64_t magic = 0;
   uint32_t ntables = 0;
-  if (!GetU64(&in, &magic) ||
-      (magic != kManifestMagic && magic != kManifestMagicV2) ||
+  if (!GetU64(&in, &magic) || magic != kManifestMagic ||
       !GetU64(&in, &m->checkpoint_ts) || !GetU64(&in, &m->commit_count) ||
       !GetU64(&in, &m->next_txn_id) || !GetU64(&in, &m->wal_lsn) ||
       !GetU32(&in, &ntables)) {
     return malformed;
   }
-  const bool has_extent_section = magic == kManifestMagic;
   m->tables.clear();
   m->tables.reserve(ntables);
   for (uint32_t i = 0; i < ntables; ++i) {
@@ -159,12 +156,7 @@ Status DecodeManifest(std::string_view in, CheckpointManifest* m) {
   }
   m->prepared.clear();
   m->outcomes.clear();
-  m->next_extent_id = 1;
   m->extents.clear();
-  if (in.empty()) {
-    // Pre-2PC manifest: no trailing sections (only possible under v2).
-    return has_extent_section ? malformed : Status::OK();
-  }
   uint32_t nprepared = 0;
   if (!GetU32(&in, &nprepared)) return malformed;
   m->prepared.reserve(nprepared);
@@ -198,17 +190,15 @@ Status DecodeManifest(std::string_view in, CheckpointManifest* m) {
     }
     m->outcomes.push_back(o);
   }
-  if (has_extent_section) {
-    uint32_t nextents = 0;
-    if (!GetU64(&in, &m->next_extent_id) || !GetU32(&in, &nextents)) {
-      return malformed;
-    }
-    m->extents.reserve(nextents);
-    for (uint32_t i = 0; i < nextents; ++i) {
-      uint64_t id = 0;
-      if (!GetU64(&in, &id)) return malformed;
-      m->extents.push_back(id);
-    }
+  uint32_t nextents = 0;
+  if (!GetU64(&in, &m->next_extent_id) || !GetU32(&in, &nextents)) {
+    return malformed;
+  }
+  m->extents.reserve(nextents);
+  for (uint32_t i = 0; i < nextents; ++i) {
+    uint64_t id = 0;
+    if (!GetU64(&in, &id)) return malformed;
+    m->extents.push_back(id);
   }
   if (!in.empty()) return malformed;
   return Status::OK();

@@ -71,13 +71,12 @@ struct CheckpointManifest {
   /// truncated away.
   uint64_t wal_lsn = 0;
   std::vector<CheckpointTableMeta> tables;
-  /// 2PC state (appended after the tables section; absent in pre-2PC
-  /// manifests, which decode with both vectors empty).
+  /// 2PC state (appended after the tables section).
   std::vector<CheckpointPreparedTxn> prepared;
   std::vector<CheckpointTxnOutcome> outcomes;
-  /// Cold-tier section (v3; v2 manifests decode with the defaults below).
-  /// Extent-id allocator watermark — recovery seeds the store past it so a
-  /// restart never reuses an id a stale reference could still name.
+  /// Cold-tier section. Extent-id allocator watermark — recovery seeds
+  /// the store past it so a restart never reuses an id a stale reference
+  /// could still name.
   uint64_t next_extent_id = 1;
   /// Every extent id some column file of this checkpoint references.
   /// Doubles as the prune keep-set: an extent outside this list (and not

@@ -57,10 +57,12 @@ class ConsistencyTest : public ::testing::TestWithParam<txn::ProcessingMode> {
     const ColumnReader reader = ctx.value()->Reader(balance_);
     ScanDriver driver({&reader});
     int64_t total = 0;
-    driver.Fold<int64_t>(
+    driver.FoldBlockwise<int64_t>(
         &total,
-        [](int64_t& acc, const auto& row) {
-          acc += storage::DecodeInt64(row.Col(0));
+        [](int64_t& acc, const ScanBlock& block) {
+          for (size_t r = 0; r < block.rows; ++r) {
+            acc += storage::DecodeInt64(block.cols[0][r]);
+          }
         },
         [](int64_t& into, int64_t&& from) { into += from; });
     EXPECT_TRUE(db_->FinishOlap(ctx.TakeValue()).ok());

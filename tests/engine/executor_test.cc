@@ -138,10 +138,12 @@ TEST(ScanDriverTest, MultiColumnFold) {
   const ColumnReader b = ColumnReader::ForLive(col_b.get(), 100);
   ScanDriver driver({&a, &b});
   uint64_t matches = 0;
-  driver.Fold<uint64_t>(
+  driver.FoldBlockwise<uint64_t>(
       &matches,
-      [](uint64_t& acc, const auto& row) {
-        if (row.Col(0) == row.Col(1)) ++acc;  // always equal here
+      [](uint64_t& acc, const ScanBlock& block) {
+        for (size_t r = 0; r < block.rows; ++r) {
+          if (block.cols[0][r] == block.cols[1][r]) ++acc;  // always equal
+        }
       },
       [](uint64_t& total, uint64_t&& local) { total += local; });
   EXPECT_EQ(matches, 3000u);
@@ -176,11 +178,15 @@ TEST(ScanDriverTest, HintedSplitResolvesPerColumnRanges) {
   };
   Acc total{};
   ScanStats stats;
-  driver.Fold<Acc>(
+  driver.FoldBlockwise<Acc>(
       &total,
-      [](Acc& acc, const auto& row) {
-        acc.sum_a += static_cast<double>(storage::DecodeInt64(row.Col(0)));
-        acc.sum_b += static_cast<double>(storage::DecodeInt64(row.Col(1)));
+      [](Acc& acc, const ScanBlock& block) {
+        for (size_t r = 0; r < block.rows; ++r) {
+          acc.sum_a +=
+              static_cast<double>(storage::DecodeInt64(block.cols[0][r]));
+          acc.sum_b +=
+              static_cast<double>(storage::DecodeInt64(block.cols[1][r]));
+        }
       },
       [](Acc& into, Acc&& from) {
         into.sum_a += from.sum_a;
@@ -198,8 +204,8 @@ TEST(ScanDriverTest, HintedSplitResolvesPerColumnRanges) {
 
 TEST(ScanDriverTest, InjectedCommitBetweenClassifyAndValidateRetriesSafely) {
   // Deterministic seqlock race: a commit lands after ClassifyBlock chose
-  // the tight kernel and before BlockStable validated it. The scan must
-  // fall back to the safe kernel for that block and still produce the
+  // a tight block and before BlockStable validated it. The scan must
+  // redo that block from safe staging and still produce the
   // fold result for its read timestamp.
   auto column = MakeColumn(2 * mvcc::kRowsPerBlock);
   const ColumnReader reader = ColumnReader::ForLive(column.get(), /*ts=*/10);
@@ -217,10 +223,12 @@ TEST(ScanDriverTest, InjectedCommitBetweenClassifyAndValidateRetriesSafely) {
 
   double total = 0.0;
   ScanStats stats;
-  driver.Fold<double>(
+  driver.FoldBlockwise<double>(
       &total,
-      [](double& acc, const auto& row) {
-        acc += static_cast<double>(storage::DecodeInt64(row.Col(0)));
+      [](double& acc, const ScanBlock& block) {
+        for (size_t r = 0; r < block.rows; ++r) {
+          acc += static_cast<double>(storage::DecodeInt64(block.cols[0][r]));
+        }
       },
       [](double& into, double&& from) { into += from; }, &stats, options);
 
@@ -236,7 +244,7 @@ TEST(ScanDriverTest, InjectedCommitBetweenClassifyAndValidateRetriesSafely) {
 
 TEST(ScanDriverTest, ParallelFoldMatchesSerialResult) {
   auto column = MakeColumn(64 * mvcc::kRowsPerBlock);
-  // Sprinkle versions over a few blocks so every kernel participates.
+  // Sprinkle versions over a few blocks so every block class participates.
   for (size_t block : {3u, 17u, 42u}) {
     for (size_t i = 0; i < 5; ++i) {
       const size_t row = block * mvcc::kRowsPerBlock + 100 + i * 7;
@@ -275,10 +283,12 @@ TEST(ScanDriverTest, ParallelMultiColumnGroupByMatchesSerial) {
     double sums[8] = {0};
     uint64_t rows = 0;
   };
-  auto row_fn = [](Acc& acc, const auto& row) {
-    ++acc.rows;
-    acc.sums[storage::DecodeInt64(row.Col(0)) & 7] +=
-        static_cast<double>(storage::DecodeInt64(row.Col(1)));
+  auto block_fn = [](Acc& acc, const ScanBlock& block) {
+    for (size_t r = 0; r < block.rows; ++r) {
+      ++acc.rows;
+      acc.sums[storage::DecodeInt64(block.cols[0][r]) & 7] +=
+          static_cast<double>(storage::DecodeInt64(block.cols[1][r]));
+    }
   };
   auto merge_fn = [](Acc& into, Acc&& from) {
     into.rows += from.rows;
@@ -286,7 +296,7 @@ TEST(ScanDriverTest, ParallelMultiColumnGroupByMatchesSerial) {
   };
 
   Acc serial{};
-  driver.Fold<Acc>(&serial, row_fn, merge_fn);
+  driver.FoldBlockwise<Acc>(&serial, block_fn, merge_fn);
 
   ThreadPool pool(3);
   ScanOptions options;
@@ -294,7 +304,7 @@ TEST(ScanDriverTest, ParallelMultiColumnGroupByMatchesSerial) {
   options.max_threads = 3;
   options.morsel_blocks = 2;
   Acc parallel{};
-  driver.Fold<Acc>(&parallel, row_fn, merge_fn, nullptr, options);
+  driver.FoldBlockwise<Acc>(&parallel, block_fn, merge_fn, nullptr, options);
 
   EXPECT_EQ(parallel.rows, serial.rows);
   for (int i = 0; i < 8; ++i) {
@@ -337,7 +347,7 @@ TEST(ScanDriverTest, ConcurrentCommitsNeverLeakFutureValues) {
   committer.join();
 }
 
-// ---- FoldBlockwise: the blockwise sibling the query layer builds on ----
+// ---- FoldBlockwise span exposure and staging ----
 
 double BlockwiseSum(const ScanDriver& driver, ScanStats* stats = nullptr,
                     const ScanOptions& options = ScanOptions()) {

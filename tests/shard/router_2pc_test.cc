@@ -356,5 +356,46 @@ TEST_F(Router2pcTest, SingleShardConflictWithIntentSurfacesBusyThenClears) {
   EXPECT_EQ(value.value(), storage::EncodeInt64(5));
 }
 
+TEST_F(Router2pcTest, PrepareFailureUnwindsStagedIntents) {
+  const uint64_t on_primary = shard_keys_[0][1];
+  const uint64_t on_secondary = shard_keys_[1][1];
+  auto primary = DirectClient(0);
+  auto secondary = DirectClient(1);
+
+  // A foreign transaction holds an intent on the shard-1 key.
+  ASSERT_TRUE(secondary
+                  ->PrepareTxn(999, /*primary_shard=*/1,
+                               {BalanceWrite(on_secondary, 1)})
+                  .ok());
+
+  // The router prepares shard 0 first (lowest index), then shard 1
+  // refuses: the transfer fails and the router must abort the intent it
+  // already staged on shard 0.
+  const Status failed = client_->ExecTxn(
+      {BalanceWrite(on_primary, 900), BalanceWrite(on_secondary, 1100)});
+  ASSERT_FALSE(failed.ok());
+
+  // A direct read never resolves intents, so it succeeds only if the
+  // unwind already removed shard 0's intent: the balance is unchanged.
+  auto unchanged = primary->Read("acct", "balance", on_primary,
+                                 /*by_key=*/true);
+  ASSERT_TRUE(unchanged.ok()) << unchanged.status().ToString();
+  EXPECT_EQ(unchanged.value(), storage::EncodeInt64(1000));
+
+  // The key is free at once for a single-shard transaction.
+  ASSERT_TRUE(client_->ExecTxn({BalanceWrite(on_primary, 950)}).ok());
+  auto written = primary->Read("acct", "balance", on_primary,
+                               /*by_key=*/true);
+  ASSERT_TRUE(written.ok());
+  EXPECT_EQ(written.value(), storage::EncodeInt64(950));
+
+  // Shard 1 kept nothing of the failed transfer either.
+  ASSERT_TRUE(secondary->AbortPrepared(999).ok());
+  auto secondary_val = secondary->Read("acct", "balance", on_secondary,
+                                       /*by_key=*/true);
+  ASSERT_TRUE(secondary_val.ok());
+  EXPECT_EQ(secondary_val.value(), storage::EncodeInt64(1000));
+}
+
 }  // namespace
 }  // namespace anker::shard

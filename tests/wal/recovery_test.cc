@@ -5,14 +5,19 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/database.h"
+#include "wal/checkpoint.h"
+#include "wal/crc32c.h"
 #include "wal/io_util.h"
+#include "wal/wal_format.h"
 
 namespace anker::engine {
 namespace {
@@ -317,6 +322,80 @@ TEST_P(RecoveryTest, ValidateRejectsDurabilityWithoutDataDir) {
   config.data_dir.clear();
   config.checkpoint_interval_commits = 100;
   EXPECT_FALSE(config.Validate().ok());
+}
+
+TEST_P(RecoveryTest, AutoCheckpointIsWhereRecoveryStarts) {
+  constexpr int kInterval = 40;
+  constexpr int kTxns = 100;
+  const uint64_t expected = ReferenceDigest(kTxns);
+  DatabaseConfig config = DurableConfig(wal::DurabilityMode::kGroupCommit);
+  config.checkpoint_interval_commits = kInterval;
+  {
+    Database db(config);
+    storage::Table* table = MakeTable(&db);
+    // No explicit Checkpoint(): the bulk load bypasses the WAL, so only a
+    // background checkpoint can make it durable.
+    LoadBase(table);
+    ASSERT_TRUE(wal::CheckpointReader::ReadManifest(dir_, nullptr)
+                    .status()
+                    .IsNotFound());
+    RunTxns(&db, table, 0, kTxns);
+    auto manifest = wal::CheckpointReader::ReadManifest(dir_, nullptr);
+    for (int i = 0; i < 1000 && !manifest.ok(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      manifest = wal::CheckpointReader::ReadManifest(dir_, nullptr);
+    }
+    ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+    EXPECT_GT(manifest.value().checkpoint_ts, 0u);
+    EXPECT_GE(manifest.value().commit_count, static_cast<uint64_t>(kInterval));
+  }  // Teardown joins a background checkpoint that is still running.
+  auto manifest = wal::CheckpointReader::ReadManifest(dir_, nullptr);
+  ASSERT_TRUE(manifest.ok());
+  EXPECT_GE(manifest.value().commit_count, static_cast<uint64_t>(kInterval));
+  // The reopened state matches only if recovery loaded the background
+  // checkpoint (the loaded base values exist nowhere else) and replayed
+  // the commits after it from the WAL.
+  auto reopened = Database::Open(config);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened.value()->ContentDigest(), expected);
+}
+
+TEST_P(RecoveryTest, V2ManifestIsRejectedAsMalformed) {
+  {
+    Database db(DurableConfig(wal::DurabilityMode::kGroupCommit));
+    LoadBase(MakeTable(&db));
+    ASSERT_TRUE(db.Checkpoint().ok());
+  }
+  std::string ckpt_path;
+  auto manifest = wal::CheckpointReader::ReadManifest(dir_, &ckpt_path);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  ASSERT_TRUE(manifest.value().extents.empty());
+
+  // Rewrite the published manifest as a well-formed v2 one: the retired
+  // "ANKRMFT2" magic, no cold-tier section (u64 extent-id watermark + u32
+  // count of an empty list), under a valid frame checksum.
+  std::string framed;
+  ASSERT_TRUE(wal::ReadFile(ckpt_path + "/MANIFEST", &framed).ok());
+  constexpr size_t kFrameHeader = 4 + 4;  // u32 length, u32 masked CRC.
+  constexpr size_t kColdTierSection = 8 + 4;
+  ASSERT_GT(framed.size(), kFrameHeader + 8 + kColdTierSection);
+  std::string payload = framed.substr(
+      kFrameHeader, framed.size() - kFrameHeader - kColdTierSection);
+  payload.replace(0, 8, "ANKRMFT2");
+  std::string v2;
+  wal::PutU32(&v2, static_cast<uint32_t>(payload.size()));
+  wal::PutU32(&v2, wal::MaskCrc(wal::Crc32c(0, payload.data(),
+                                            payload.size())));
+  v2 += payload;
+  ASSERT_TRUE(wal::AtomicWriteFile(ckpt_path + "/MANIFEST", v2).ok());
+
+  manifest = wal::CheckpointReader::ReadManifest(dir_, nullptr);
+  ASSERT_FALSE(manifest.ok());
+  EXPECT_EQ(manifest.status().code(), StatusCode::kIoError);
+  EXPECT_NE(manifest.status().ToString().find("malformed checkpoint manifest"),
+            std::string::npos);
+  EXPECT_FALSE(
+      Database::Open(DurableConfig(wal::DurabilityMode::kGroupCommit)).ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(
