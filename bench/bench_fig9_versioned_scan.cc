@@ -109,6 +109,7 @@ int main(int argc, char** argv) {
   report["flags"]["reps"] = reps;
   std::vector<size_t> versioned_so_far(3, 0);
   double baseline[3] = {0, 0, 0};
+  double full[3] = {0, 0, 0};
   for (int percent = 0; percent <= 100; percent += 10) {
     std::printf("%8d%%:", percent);
     auto& row = report["scan_times"].Append();
@@ -123,6 +124,7 @@ int main(int argc, char** argv) {
       const double ms =
           MeasureScanMs(targets[t].column, read_ts, reps, &stats);
       if (percent == 0) baseline[t] = ms;
+      if (percent == 100) full[t] = ms;
       std::printf(" %14.3f", ms);
       row[std::string(targets[t].name) + "_ms"] = ms;
     }
@@ -130,11 +132,10 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
   std::printf("\nslowdown at 100%% vs 0%% (paper: ~5x): ");
+  // Both ends are best-of-reps measurements from the sweep above.
   for (int t = 0; t < 3; ++t) {
-    engine::ScanStats stats;
-    const double ms = MeasureScanMs(targets[t].column, read_ts, 1, &stats);
-    std::printf("%s=%.1fx ", targets[t].name, ms / baseline[t]);
-    report["slowdown_100_vs_0"][targets[t].name] = ms / baseline[t];
+    std::printf("%s=%.1fx ", targets[t].name, full[t] / baseline[t]);
+    report["slowdown_100_vs_0"][targets[t].name] = full[t] / baseline[t];
   }
   std::printf("\n");
   report.Write(json_out);

@@ -88,8 +88,10 @@ int main(int argc, char** argv) {
     const char* name;
     int q;  ///< Tpch22 query number (1-based).
   };
-  // Q1: single-table grouped aggregation (the fused fast path) as the
-  // baseline; Q3 and Q18 are the join + top-k pipelines under test.
+  // Q1: single-table grouped aggregation (the grouped vectorized
+  // scan→aggregate leaf; its Avg(l_quantity) operand pattern is not in
+  // the fused registry) as the baseline; Q3 and Q18 are the join + top-k
+  // pipelines under test.
   const Case cases[] = {{"q1", 1}, {"q3", 3}, {"q18", 18}};
 
   double q1_min = 0.0;

@@ -1,11 +1,15 @@
 #ifndef ANKER_QUERY_DAG_H_
 #define ANKER_QUERY_DAG_H_
 
-// The physical operator DAG behind ExecStrategy::kDag: a linear pipeline
-// of composable operators lowered from the QueryBuilder surface —
+// The physical operator DAG every query executes: a linear pipeline of
+// composable operators lowered from the QueryBuilder surface —
 //
 //   scan/sub -> join* -> aggregate -> window -> filter -> select
 //            -> sort/top-k -> limit
+//
+// A single-table aggregation additionally carries a scan→aggregate leaf
+// (DagLeaf): its scan blocks go straight into block kernels instead of
+// through emitted rows and hash aggregation.
 //
 // Operators exchange tuples through spill-capable TempTupleStores
 // (query/tuple_store.h) holding raw 8-byte slot values in the storage
@@ -26,6 +30,7 @@
 
 #include "query/plan.h"
 #include "query/query.h"
+#include "query/tuple_store.h"
 
 namespace anker::query {
 
@@ -84,10 +89,10 @@ struct DagAggSpec {
 };
 
 /// Hash aggregation over arbitrary-typed group keys; groups are emitted
-/// in first-seen order (deterministic: the input order is). Matching the
-/// fast paths, groups only materialize from actual input rows — an empty
-/// input yields an empty result even ungrouped. Group state lives in
-/// memory; the spill machinery bounds the operator *inputs*.
+/// in first-seen order (deterministic: the input order is). Groups only
+/// materialize from actual input rows; an ungrouped aggregate over an
+/// empty input yields one identity row. Group state lives in memory; the
+/// spill machinery bounds the operator *inputs*.
 struct DagAggregate {
   bool present = false;
   std::vector<uint16_t> group_cols;  ///< Into the input schema.
@@ -114,12 +119,34 @@ struct DagWindow {
   std::vector<DagOutCol> schema;  ///< Input ++ double func outputs.
 };
 
+/// Scan→aggregate leaf of a single-table aggregation whose group keys
+/// pack into small dictionary domains (lowered by BuildLeaf in
+/// query.cc). The base scan's blocks feed a fused kernel (fused.cc) when
+/// `fused` is set, else the vectorized aggregate (exec.cc); the group rows
+/// land in the aggregate stage's store in packed-key order.
+struct DagLeaf {
+  bool present = false;
+  KeySpec key;
+  std::vector<AggSpec> aggs;  ///< agg.aggs order; hidden count last.
+  int count_slot = -1;        ///< Slot of some count (-1 if none needed).
+  size_t num_slots = 0;       ///< Slots per group (incl. hidden).
+  size_t total_slots = 0;     ///< num_groups * num_slots.
+  const FusedKernelSet* fused = nullptr;
+  /// Column index per value slot of the fused kernel's operand array
+  /// (deduplicated when an operand-sharing pattern matched).
+  std::vector<uint16_t> fused_vals;
+};
+
 /// The compiled pipeline. `schema` is the final (post-select) schema that
 /// result assembly maps onto QueryResult keys/values.
 struct DagPlan {
   DagScan scan;
   std::vector<DagJoin> joins;
   DagAggregate agg;
+  /// When present, runs in place of the scan's emitted rows and `agg`
+  /// (such a plan has no joins); skipped by ExecOptions::force_dag and
+  /// inside sub-query inputs.
+  DagLeaf leaf;
   DagWindow window;
   /// Filter after aggregation/window (may reference their outputs), over
   /// the pre-select schema; optional.
@@ -133,7 +160,7 @@ struct DagPlan {
 /// ---- lowering (dag_build.cc) --------------------------------------------
 
 /// Compiles the builder's collected pieces into a CompiledQuery carrying
-/// a DagPlan (strategy kDag): resolves names stage by stage, pushes
+/// a DagPlan (no leaf yet): resolves names stage by stage, pushes
 /// Filter conjuncts to the earliest covering stage, type-checks every
 /// expression against its stage schema, and unions the scan column sets
 /// (including sub-plans') for the OLAP snapshot declaration.
@@ -160,11 +187,21 @@ void CollectParamNames(const Expr& expr, std::vector<std::string>* names);
 
 /// ---- execution (dag_exec.cc) --------------------------------------------
 
-/// Runs plan.dag inside `ctx` (which must cover plan.columns). Used by
-/// Execute for kDag strategies and for ExecOptions::force_dag.
+/// Runs plan.dag inside `ctx` (which must cover plan.columns).
 Status ExecuteDag(const CompiledQuery& plan, const engine::OlapContext& ctx,
                   const Params& params, const ExecOptions& options,
                   QueryResult* result);
+
+/// ---- base-scan leaf (exec.cc) -------------------------------------------
+
+/// Runs one filtered base-table scan into a fresh store. Without `leaf`
+/// the store holds the passing rows in block order (scan.schema); with
+/// it, the leaf's group rows (the aggregate stage's schema).
+Status RunBaseScan(const DagScan& scan, const DagLeaf* leaf,
+                   const engine::OlapContext& ctx, const Params& params,
+                   const engine::ScanOptions& scan_opts, SpillArena* arena,
+                   uint64_t* rows_scanned, engine::ScanStats* stats,
+                   std::unique_ptr<TempTupleStore>* out);
 
 }  // namespace anker::query
 

@@ -804,7 +804,6 @@ Result<Query> BuildDagQuery(const QueryBuilder& b) {
   pnames.erase(std::unique(pnames.begin(), pnames.end()), pnames.end());
   plan->param_names = std::move(pnames);
 
-  plan->strategy = ExecStrategy::kDag;
   plan->dag = std::move(dag);
   return Query(std::move(plan));
 }

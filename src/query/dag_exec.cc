@@ -1,13 +1,16 @@
 // Execution of the operator DAG (query/dag.h): morsel-parallel scan
-// leaves feeding partitioned hash joins, hash aggregation, window
-// functions and sort/top-k through spill-capable TempTupleStores.
+// leaves (exec.cc) feeding partitioned hash joins, hash aggregation,
+// window functions and sort/top-k through spill-capable TempTupleStores.
 //
 // Determinism: scan output is reassembled in block order regardless of
 // morsel parallelism; the hash join emits (partition, probe order); sorts
-// use a total order (keys, then the full row). A DAG execution therefore
-// produces bit-identical rows across serial/parallel scans, spill
-// thresholds, processing modes and buffer backends — the contract the
-// differential plan fuzzer asserts.
+// use a total order (keys, then the full row). A DAG execution without a
+// scan→aggregate leaf therefore produces bit-identical rows across
+// serial/parallel scans, spill thresholds, processing modes and buffer
+// backends — the contract the differential plan fuzzer asserts. A leaf
+// merges per-worker partial sums, so its sums may differ in the last
+// bits between scan configurations; its group order is the packed-key
+// order in all of them.
 
 #include <algorithm>
 #include <cstring>
@@ -143,96 +146,11 @@ Status FilterStore(std::unique_ptr<TempTupleStore>* cur,
   return Status::OK();
 }
 
-Status RunPipeline(const DagPlan& dag, const engine::OlapContext& ctx,
-                   const Params& params,
+Status RunPipeline(const DagPlan& dag, bool use_leaf,
+                   const engine::OlapContext& ctx, const Params& params,
                    const engine::ScanOptions& scan_opts, SpillArena* arena,
-                   TempTupleStore* out, uint64_t* rows_scanned,
-                   engine::ScanStats* stats);
-
-/// Runs one filtered base-table scan, reassembling passing rows in block
-/// order so parallel and serial scans produce identical stores.
-Status RunBaseScan(const DagScan& scan, const engine::OlapContext& ctx,
-                   const Params& params,
-                   const engine::ScanOptions& scan_opts,
-                   TempTupleStore* out, uint64_t* rows_scanned,
-                   engine::ScanStats* stats) {
-  std::vector<BoundPred> preds;
-  ANKER_RETURN_IF_ERROR(BindPredsFor(scan.preds, scan.columns, scan.table,
-                                     params, &preds));
-  std::vector<BoundScalar> generics;
-  generics.reserve(scan.generic_preds.size());
-  for (const GenericPred& g : scan.generic_preds) {
-    auto bound = BindTupleScalar(g.expr, scan.schema, params);
-    if (!bound.ok()) return bound.status();
-    generics.push_back(bound.TakeValue());
-  }
-
-  std::vector<engine::ColumnReader> readers;
-  readers.reserve(scan.columns.size());
-  for (storage::Column* column : scan.columns) {
-    auto reader = ctx.TryReader(column);
-    if (!reader.ok()) return reader.status();
-    readers.push_back(reader.value());
-  }
-  std::vector<const engine::ColumnReader*> reader_ptrs;
-  reader_ptrs.reserve(readers.size());
-  for (const engine::ColumnReader& reader : readers) {
-    reader_ptrs.push_back(&reader);
-  }
-  engine::ScanDriver driver(std::move(reader_ptrs));
-
-  const size_t width = scan.columns.size();
-  // Per-block row-major runs keyed by block begin; the post-fold sort by
-  // begin restores block order whatever the morsel schedule was.
-  struct Acc {
-    std::vector<std::pair<size_t, std::vector<uint64_t>>> runs;
-  };
-  Acc total{};
-  engine::ScanStats local_stats;
-  driver.FoldBlockwise<Acc>(
-      &total,
-      [&](Acc& acc, const engine::ScanBlock& block) {
-        std::vector<uint64_t>* run = nullptr;
-        for (size_t i = 0; i < block.rows; ++i) {
-          if (!PredsPass(preds.data(), preds.size(), block.cols, i)) {
-            continue;
-          }
-          bool pass = true;
-          for (const BoundScalar& g : generics) {
-            if (!EvalScalarBool(g, block.cols, i)) {
-              pass = false;
-              break;
-            }
-          }
-          if (!pass) continue;
-          if (run == nullptr) {
-            acc.runs.emplace_back(block.begin, std::vector<uint64_t>());
-            run = &acc.runs.back().second;
-          }
-          for (size_t c = 0; c < width; ++c) {
-            run->push_back(block.cols[c][i]);
-          }
-        }
-      },
-      [](Acc& into, Acc&& from) {
-        into.runs.insert(into.runs.end(),
-                         std::make_move_iterator(from.runs.begin()),
-                         std::make_move_iterator(from.runs.end()));
-      },
-      &local_stats, scan_opts);
-
-  std::sort(total.runs.begin(), total.runs.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& run : total.runs) {
-    const size_t n = run.second.size() / width;
-    for (size_t r = 0; r < n; ++r) {
-      ANKER_RETURN_IF_ERROR(out->Append(run.second.data() + r * width));
-    }
-  }
-  if (rows_scanned != nullptr) *rows_scanned += driver.num_rows();
-  stats->Merge(local_stats);
-  return Status::OK();
-}
+                   uint64_t* rows_scanned, engine::ScanStats* stats,
+                   std::unique_ptr<TempTupleStore>* out);
 
 /// Materializes one DAG input (base-table scan or sub-query pipeline plus
 /// tuple filters) into a store of the input's schema width.
@@ -242,22 +160,19 @@ Status RunScanInput(const DagScan& scan, const engine::OlapContext& ctx,
                     uint64_t* rows_scanned, engine::ScanStats* stats,
                     std::unique_ptr<TempTupleStore>* out) {
   if (scan.table != nullptr) {
-    *out = std::make_unique<TempTupleStore>(scan.columns.size(), arena);
-    return RunBaseScan(scan, ctx, params, scan_opts, out->get(),
-                       rows_scanned, stats);
+    return RunBaseScan(scan, nullptr, ctx, params, scan_opts, arena,
+                       rows_scanned, stats, out);
   }
   if (scan.sub == nullptr || scan.sub->dag == nullptr) {
     return Status::Internal("DAG scan input has neither table nor sub-plan");
   }
-  auto store = std::make_unique<TempTupleStore>(
-      scan.sub->dag->schema.size(), arena);
-  ANKER_RETURN_IF_ERROR(RunPipeline(*scan.sub->dag, ctx, params, scan_opts,
-                                    arena, store.get(), rows_scanned,
-                                    stats));
-  ANKER_RETURN_IF_ERROR(
-      FilterStore(&store, scan.schema, scan.sub_filters, params, arena));
-  *out = std::move(store);
-  return Status::OK();
+  // A sub-query keeps hash aggregation even where it has a leaf: its
+  // sequential, first-seen-order sums stay bit-identical across scan
+  // parallelism, which the outer stages' determinism rests on.
+  ANKER_RETURN_IF_ERROR(RunPipeline(*scan.sub->dag, /*use_leaf=*/false, ctx,
+                                    params, scan_opts, arena, rows_scanned,
+                                    stats, out));
+  return FilterStore(out, scan.schema, scan.sub_filters, params, arena);
 }
 
 /// Partitioned hash build/probe join. Both sides are hash-partitioned on
@@ -881,24 +796,31 @@ Status RunOrderLimit(const DagPlan& dag, SpillArena* arena,
   return Status::OK();
 }
 
-Status RunPipeline(const DagPlan& dag, const engine::OlapContext& ctx,
-                   const Params& params,
+Status RunPipeline(const DagPlan& dag, bool use_leaf,
+                   const engine::OlapContext& ctx, const Params& params,
                    const engine::ScanOptions& scan_opts, SpillArena* arena,
-                   TempTupleStore* out, uint64_t* rows_scanned,
-                   engine::ScanStats* stats) {
+                   uint64_t* rows_scanned, engine::ScanStats* stats,
+                   std::unique_ptr<TempTupleStore>* out) {
   std::unique_ptr<TempTupleStore> cur;
-  ANKER_RETURN_IF_ERROR(RunScanInput(dag.scan, ctx, params, scan_opts,
-                                     arena, rows_scanned, stats, &cur));
   const std::vector<DagOutCol>* schema = &dag.scan.schema;
-  for (const DagJoin& join : dag.joins) {
-    ANKER_RETURN_IF_ERROR(RunJoin(join, *schema, ctx, params, scan_opts,
-                                  arena, stats, &cur));
-    schema = &join.schema;
-  }
-  if (dag.agg.present) {
-    ANKER_RETURN_IF_ERROR(RunAggregate(dag.agg, *schema, params, arena,
-                                       &cur));
+  if (use_leaf && dag.leaf.present) {
+    ANKER_RETURN_IF_ERROR(RunBaseScan(dag.scan, &dag.leaf, ctx, params,
+                                      scan_opts, arena, rows_scanned, stats,
+                                      &cur));
     schema = &dag.agg.schema;
+  } else {
+    ANKER_RETURN_IF_ERROR(RunScanInput(dag.scan, ctx, params, scan_opts,
+                                       arena, rows_scanned, stats, &cur));
+    for (const DagJoin& join : dag.joins) {
+      ANKER_RETURN_IF_ERROR(RunJoin(join, *schema, ctx, params, scan_opts,
+                                    arena, stats, &cur));
+      schema = &join.schema;
+    }
+    if (dag.agg.present) {
+      ANKER_RETURN_IF_ERROR(RunAggregate(dag.agg, *schema, params, arena,
+                                         &cur));
+      schema = &dag.agg.schema;
+    }
   }
   if (dag.window.present) {
     ANKER_RETURN_IF_ERROR(RunWindow(dag.window, *schema, params, arena,
@@ -924,17 +846,9 @@ Status RunPipeline(const DagPlan& dag, const engine::OlapContext& ctx,
     cur = std::move(selected);
   }
   ANKER_RETURN_IF_ERROR(RunOrderLimit(dag, arena, &cur));
-
-  // Hand the final rows to the caller's store.
-  const std::vector<uint16_t> identity = IdentitySrc(dag.schema.size());
   ANKER_RETURN_IF_ERROR(cur->Finish());
-  return cur->ForEachChunk(
-      [&](const uint64_t* const* cols, size_t rows) -> Status {
-        for (size_t r = 0; r < rows; ++r) {
-          ANKER_RETURN_IF_ERROR(out->AppendGather(cols, identity.data(), r));
-        }
-        return Status::OK();
-      });
+  *out = std::move(cur);
+  return Status::OK();
 }
 
 }  // namespace
@@ -952,10 +866,10 @@ Status ExecuteDag(const CompiledQuery& plan, const engine::OlapContext& ctx,
                                             : ctx.scan_options();
   uint64_t rows_scanned = 0;
   engine::ScanStats stats;
-  TempTupleStore final_store(dag.schema.size(), &arena);
-  ANKER_RETURN_IF_ERROR(RunPipeline(dag, ctx, params, scan_opts, &arena,
-                                    &final_store, &rows_scanned, &stats));
-  ANKER_RETURN_IF_ERROR(final_store.Finish());
+  std::unique_ptr<TempTupleStore> final_store;
+  ANKER_RETURN_IF_ERROR(RunPipeline(dag, !options.force_dag, ctx, params,
+                                    scan_opts, &arena, &rows_scanned, &stats,
+                                    &final_store));
 
   // Assemble: double-typed schema columns land in `values`, the integer
   // domains (dict codes, dates, int64) in `keys`.
@@ -978,7 +892,7 @@ Status ExecuteDag(const CompiledQuery& plan, const engine::OlapContext& ctx,
       key_slots.push_back(c);
     }
   }
-  ANKER_RETURN_IF_ERROR(final_store.ForEachChunk(
+  ANKER_RETURN_IF_ERROR(final_store->ForEachChunk(
       [&](const uint64_t* const* cols, size_t rows) -> Status {
         for (size_t r = 0; r < rows; ++r) {
           QueryResult::Row row;

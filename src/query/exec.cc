@@ -1,16 +1,19 @@
-// Execution of compiled queries over the engine's blockwise scan fold.
+// The DAG's base-scan leaf (RunBaseScan) and the Execute entry point.
 //
-// All three strategies run inside ScanDriver::FoldBlockwise, so version
+// Every base-table scan runs inside ScanDriver::FoldBlockwise, so version
 // handling (snapshot vs live, tight vs staged blocks, seqlock retries) is
 // entirely the engine's business: a block always arrives as plain value
 // spans, and the same arithmetic runs in every processing mode — which is
-// what keeps query results bit-identical across modes.
+// what keeps query results bit-identical across modes. Each block goes to
+// one of three consumers: emitted rows (block-ordered runs feeding the
+// rest of the pipeline), a fused grouped kernel (fused.cc), or the
+// vectorized aggregate of a scan→aggregate leaf.
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <utility>
 
 #include "query/dag.h"
 #include "query/query.h"
@@ -23,38 +26,27 @@ constexpr size_t kBlockCap = mvcc::kRowsPerBlock;
 
 inline double D(uint64_t raw) { return storage::DecodeDouble(raw); }
 
-/// Accumulator handed through FoldBlockwise. The slot array is left
+/// Leaf accumulator handed through FoldBlockwise. The slot array is left
 /// uninitialized on construction (a per-block Acc is constructed for
-/// every 1024-row block); PrepSlots copies the plan's initial slot image
+/// every 1024-row block); PrepSlots copies the leaf's initial slot image
 /// and flips `inited` — merge treats uninitialized accumulators as empty.
 struct ExecAcc {
   ExecAcc() {}  // NOLINT: slots stay uninitialized by design.
   bool inited = false;
-  uint64_t rows = 0;
-  double slots[kMaxTotalSlots];  ///< Build caps total_slots at this size.
+  double slots[kMaxTotalSlots];  ///< BuildLeaf caps total_slots here.
 };
 
-/// Per-participant working memory of the vectorized strategies,
-/// recycled through a pool because fold participants are created by the
-/// engine, not by us (and help-while-waiting worker nesting makes
-/// thread_local scratch unsafe).
+/// Per-participant selection and key buffers, recycled through a pool
+/// because fold participants are created by the engine, not by us (and
+/// help-while-waiting worker nesting makes thread_local scratch unsafe).
 struct Scratch {
-  explicit Scratch(size_t num_temps) {
-    sel_a.resize(kBlockCap);
-    sel_b.resize(kBlockCap);
-    keys.resize(kBlockCap);
-    temps.resize(std::max<size_t>(1, num_temps) * kBlockCap);
-  }
+  Scratch() : sel_a(kBlockCap), sel_b(kBlockCap), keys(kBlockCap) {}
   std::vector<uint16_t> sel_a, sel_b;
   std::vector<uint32_t> keys;
-  std::vector<double> temps;
-  double* temp(size_t t) { return temps.data() + t * kBlockCap; }
 };
 
 class ScratchPool {
  public:
-  explicit ScratchPool(size_t num_temps) : num_temps_(num_temps) {}
-
   std::unique_ptr<Scratch> Acquire() {
     {
       std::lock_guard<std::mutex> guard(mutex_);
@@ -64,7 +56,7 @@ class ScratchPool {
         return scratch;
       }
     }
-    return std::make_unique<Scratch>(num_temps_);
+    return std::make_unique<Scratch>();
   }
 
   void Release(std::unique_ptr<Scratch> scratch) {
@@ -73,57 +65,46 @@ class ScratchPool {
   }
 
  private:
-  size_t num_temps_;
   std::mutex mutex_;
   std::vector<std::unique_ptr<Scratch>> free_;
 };
 
-/// Everything bound for one execution: predicates with params folded in,
-/// const operands of the temp program, and the initial slot image
-/// (zeroes; +-inf for min/max slots).
-struct BoundQuery {
-  const CompiledQuery* plan = nullptr;
+/// The scan's filter with params folded in: range predicates, then the
+/// generic terms for the scalar interpreter.
+struct BoundFilter {
   std::vector<BoundPred> preds;
   std::vector<BoundScalar> generic;
-  std::vector<double> cvals;  ///< Per prog instruction.
+};
+
+/// Everything a leaf execution binds: kExpr aggregate inputs and the
+/// initial slot image (zeroes; +-inf for min/max slots).
+struct BoundLeaf {
+  const DagLeaf* leaf = nullptr;
+  std::vector<BoundScalar> inputs;  ///< By aggregate slot; kExpr only.
   std::vector<double> init_slots;
   std::vector<uint8_t> slot_op;  ///< Per in-group slot: 0 +, 1 min, 2 max.
   bool has_minmax = false;
-  std::unique_ptr<ScratchPool> pool;
 };
 
-Status Bind(const CompiledQuery& plan, const Params& params,
-            BoundQuery* bound) {
-  bound->plan = &plan;
-  ANKER_RETURN_IF_ERROR(BindPredsFor(plan.preds, plan.columns, plan.table,
-                                     params, &bound->preds));
-  bound->generic.clear();
-  for (const GenericPred& pred : plan.generic_preds) {
-    // A fast-path plan shares its DAG plan's scan: same columns, same
-    // indexes, so generic predicates bind over that scan's schema.
-    auto scalar = BindTupleScalar(pred.expr, plan.dag->scan.schema, params);
-    if (!scalar.ok()) return scalar.status();
-    bound->generic.push_back(scalar.TakeValue());
-  }
-  bound->cvals.assign(plan.prog.size(), 0.0);
-  for (size_t i = 0; i < plan.prog.size(); ++i) {
-    if (plan.prog[i].cexpr == nullptr) continue;
-    auto value = EvalConstExpr(plan.prog[i].cexpr.get(), params);
-    if (!value.ok()) return value.status();
-    const ConstValue& v = value.value();
-    bound->cvals[i] = v.type == ExprType::kDouble
-                          ? storage::DecodeDouble(v.raw)
-                          : static_cast<double>(storage::DecodeInt64(v.raw));
+Status BindLeaf(const DagLeaf& leaf, const DagScan& scan,
+                const Params& params, BoundLeaf* bound) {
+  bound->leaf = &leaf;
+  bound->inputs.resize(leaf.aggs.size());
+  for (size_t i = 0; i < leaf.aggs.size(); ++i) {
+    if (leaf.aggs[i].form != AggForm::kExpr) continue;
+    auto input = BindTupleScalar(leaf.aggs[i].expr, scan.schema, params);
+    if (!input.ok()) return input.status();
+    bound->inputs[i] = input.TakeValue();
   }
 
-  bound->slot_op.assign(plan.num_slots, 0);
-  for (const AggSpec& agg : plan.aggs) {
+  bound->slot_op.assign(leaf.num_slots, 0);
+  for (const AggSpec& agg : leaf.aggs) {
     if (agg.kind == AggKind::kMin) bound->slot_op[agg.slot] = 1;
     if (agg.kind == AggKind::kMax) bound->slot_op[agg.slot] = 2;
   }
-  bound->init_slots.assign(plan.total_slots, 0.0);
-  for (size_t s = 0; s < plan.total_slots; ++s) {
-    const uint8_t op = bound->slot_op[s % plan.num_slots];
+  bound->init_slots.assign(leaf.total_slots, 0.0);
+  for (size_t s = 0; s < leaf.total_slots; ++s) {
+    const uint8_t op = bound->slot_op[s % leaf.num_slots];
     if (op == 1) {
       bound->init_slots[s] = std::numeric_limits<double>::infinity();
       bound->has_minmax = true;
@@ -132,14 +113,13 @@ Status Bind(const CompiledQuery& plan, const Params& params,
       bound->has_minmax = true;
     }
   }
-  bound->pool = std::make_unique<ScratchPool>(plan.num_temps);
   return Status::OK();
 }
 
-inline void PrepSlots(const BoundQuery& bound, ExecAcc* acc) {
+inline void PrepSlots(const BoundLeaf& bound, ExecAcc* acc) {
   if (acc->inited) return;
   std::memcpy(acc->slots, bound.init_slots.data(),
-              bound.plan->total_slots * sizeof(double));
+              bound.leaf->total_slots * sizeof(double));
   acc->inited = true;
 }
 
@@ -197,7 +177,7 @@ size_t GenericPass(const BoundScalar& pred, const uint64_t* const* cols,
 
 /// Runs the filter chain; returns the surviving count and points *sel at
 /// the surviving selection (nullptr = all rows).
-size_t RunFilters(const BoundQuery& bound, const uint64_t* const* cols,
+size_t RunFilters(const BoundFilter& bound, const uint64_t* const* cols,
                   size_t n, Scratch* scratch, const uint16_t** sel) {
   *sel = nullptr;
   size_t k = n;
@@ -218,102 +198,7 @@ size_t RunFilters(const BoundQuery& bound, const uint64_t* const* cols,
   return k;
 }
 
-/// ---- vectorized temp program --------------------------------------------
-
-void RunProg(const BoundQuery& bound, const uint64_t* const* cols,
-             const uint16_t* sel, size_t k, Scratch* scratch) {
-  const CompiledQuery& plan = *bound.plan;
-  for (size_t pc = 0; pc < plan.prog.size(); ++pc) {
-    const VecInst& inst = plan.prog[pc];
-    double* dst = scratch->temp(inst.dst);
-    switch (inst.op) {
-      case VecOp::kLoadF64: {
-        const uint64_t* col = cols[inst.col];
-        if (sel == nullptr) {
-          for (size_t i = 0; i < k; ++i) dst[i] = D(col[i]);
-        } else {
-          for (size_t i = 0; i < k; ++i) dst[i] = D(col[sel[i]]);
-        }
-        break;
-      }
-      case VecOp::kLoadI64: {
-        const uint64_t* col = cols[inst.col];
-        if (sel == nullptr) {
-          for (size_t i = 0; i < k; ++i) {
-            dst[i] = static_cast<double>(static_cast<int64_t>(col[i]));
-          }
-        } else {
-          for (size_t i = 0; i < k; ++i) {
-            dst[i] = static_cast<double>(static_cast<int64_t>(col[sel[i]]));
-          }
-        }
-        break;
-      }
-      case VecOp::kLoadDict: {
-        const uint64_t* col = cols[inst.col];
-        if (sel == nullptr) {
-          for (size_t i = 0; i < k; ++i) {
-            dst[i] = static_cast<double>(storage::DecodeDict(col[i]));
-          }
-        } else {
-          for (size_t i = 0; i < k; ++i) {
-            dst[i] = static_cast<double>(storage::DecodeDict(col[sel[i]]));
-          }
-        }
-        break;
-      }
-      case VecOp::kConst: {
-        const double c = bound.cvals[pc];
-        for (size_t i = 0; i < k; ++i) dst[i] = c;
-        break;
-      }
-      case VecOp::kAdd: {
-        const double* a = scratch->temp(inst.a);
-        const double* b = scratch->temp(inst.b);
-        for (size_t i = 0; i < k; ++i) dst[i] = a[i] + b[i];
-        break;
-      }
-      case VecOp::kSub: {
-        const double* a = scratch->temp(inst.a);
-        const double* b = scratch->temp(inst.b);
-        for (size_t i = 0; i < k; ++i) dst[i] = a[i] - b[i];
-        break;
-      }
-      case VecOp::kMul: {
-        const double* a = scratch->temp(inst.a);
-        const double* b = scratch->temp(inst.b);
-        for (size_t i = 0; i < k; ++i) dst[i] = a[i] * b[i];
-        break;
-      }
-      case VecOp::kAddC: {
-        const double* a = scratch->temp(inst.a);
-        const double c = bound.cvals[pc];
-        for (size_t i = 0; i < k; ++i) dst[i] = a[i] + c;
-        break;
-      }
-      case VecOp::kSubC: {
-        const double* a = scratch->temp(inst.a);
-        const double c = bound.cvals[pc];
-        for (size_t i = 0; i < k; ++i) dst[i] = a[i] - c;
-        break;
-      }
-      case VecOp::kRsubC: {
-        const double* a = scratch->temp(inst.a);
-        const double c = bound.cvals[pc];
-        for (size_t i = 0; i < k; ++i) dst[i] = c - a[i];
-        break;
-      }
-      case VecOp::kMulC: {
-        const double* a = scratch->temp(inst.a);
-        const double c = bound.cvals[pc];
-        for (size_t i = 0; i < k; ++i) dst[i] = a[i] * c;
-        break;
-      }
-    }
-  }
-}
-
-/// ---- reductions (ungrouped / vectorized) --------------------------------
+/// ---- vectorized aggregate --------------------------------
 
 /// 4-way unrolled sum: breaks the serial add dependency chain, which
 /// makes dense column sums ~3x faster than a per-row fold. The partial
@@ -334,8 +219,7 @@ inline double SumReduce(size_t k, ValueFn&& value) {
 }
 
 void ReduceAgg(const AggSpec& agg, const uint64_t* const* cols,
-               const uint16_t* sel, size_t k, Scratch* scratch,
-               double* slot) {
+               const uint16_t* sel, size_t k, double* slot) {
   auto row = [&](size_t i) -> size_t {
     return sel == nullptr ? i : sel[i];
   };
@@ -390,39 +274,49 @@ void ReduceAgg(const AggSpec& agg, const uint64_t* const* cols,
       *slot = m;
       return;
     }
-    case AggForm::kExpr: {
-      const double* t = scratch->temp(agg.temp);
-      switch (agg.kind) {
-        case AggKind::kMin: {
-          double m = *slot;
-          for (size_t i = 0; i < k; ++i) m = std::min(m, t[i]);
-          *slot = m;
-          return;
-        }
-        case AggKind::kMax: {
-          double m = *slot;
-          for (size_t i = 0; i < k; ++i) m = std::max(m, t[i]);
-          *slot = m;
-          return;
-        }
-        default:
-          *slot += SumReduce(k, [&](size_t i) { return t[i]; });
-          return;
-      }
-    }
+    case AggForm::kExpr:  // Reduced by ReduceExpr.
+      return;
   }
 }
 
-/// ---- grouped strategies -------------------------------------------------
+/// Reduces a non-menu aggregate input, evaluated per selected row by the
+/// scalar interpreter. Kept out of ReduceAgg: with these loops beside
+/// them, ReduceAgg's menu-form loops compiled measurably slower.
+void ReduceExpr(AggKind kind, const BoundScalar& input,
+                const uint64_t* const* cols, const uint16_t* sel, size_t k,
+                double* slot) {
+  auto value = [&](size_t i) {
+    return EvalScalarDouble(input, cols, sel == nullptr ? i : sel[i]);
+  };
+  switch (kind) {
+    case AggKind::kMin: {
+      double m = *slot;
+      for (size_t i = 0; i < k; ++i) m = std::min(m, value(i));
+      *slot = m;
+      return;
+    }
+    case AggKind::kMax: {
+      double m = *slot;
+      for (size_t i = 0; i < k; ++i) m = std::max(m, value(i));
+      *slot = m;
+      return;
+    }
+    default:
+      *slot += SumReduce(k, value);
+      return;
+  }
+}
 
-void ComputeKeys(const CompiledQuery& plan, const uint64_t* const* cols,
+/// Packs the group key of each selected row into scratch->keys,
+/// premultiplied by the group stride.
+void ComputeKeys(const DagLeaf& leaf, const uint64_t* const* cols,
                  const uint16_t* sel, size_t k, Scratch* scratch) {
   uint32_t* keys = scratch->keys.data();
-  const uint32_t stride = static_cast<uint32_t>(plan.num_slots);
+  const uint32_t stride = static_cast<uint32_t>(leaf.num_slots);
   bool first = true;
-  for (size_t kc = 0; kc < plan.key.cols.size(); ++kc) {
-    const uint64_t* col = cols[plan.key.cols[kc]];
-    const uint32_t bits = plan.key.bits[kc];
+  for (size_t kc = 0; kc < leaf.key.cols.size(); ++kc) {
+    const uint64_t* col = cols[leaf.key.cols[kc]];
+    const uint32_t bits = leaf.key.bits[kc];
     const uint32_t mask = (uint32_t{1} << bits) - 1;
     if (first) {
       for (size_t i = 0; i < k; ++i) {
@@ -441,50 +335,56 @@ void ComputeKeys(const CompiledQuery& plan, const uint64_t* const* cols,
   for (size_t i = 0; i < k; ++i) keys[i] *= stride;
 }
 
-void GroupedVecBlock(const BoundQuery& bound, ExecAcc& acc,
-                     const engine::ScanBlock& block, Scratch* scratch) {
-  const CompiledQuery& plan = *bound.plan;
-  const uint16_t* sel = nullptr;
-  const size_t k =
-      RunFilters(bound, block.cols, block.rows, scratch, &sel);
-  if (k == 0) return;
-  if (!plan.prog.empty()) RunProg(bound, block.cols, sel, k, scratch);
-  ComputeKeys(plan, block.cols, sel, k, scratch);
+/// Folds a block's k selected rows into the leaf slots: ungrouped leaves
+/// reduce aggregate-at-a-time with unrolled sums, grouped leaves update
+/// each row's group slots row by row.
+void AggregateBlock(const BoundLeaf& bound, const uint64_t* const* cols,
+                    const uint16_t* sel, size_t k, Scratch* scratch,
+                    double* slots) {
+  const DagLeaf& leaf = *bound.leaf;
+  if (!leaf.key.grouped()) {
+    for (const AggSpec& agg : leaf.aggs) {
+      if (agg.form == AggForm::kExpr) {
+        ReduceExpr(agg.kind, bound.inputs[agg.slot], cols, sel, k,
+                   slots + agg.slot);
+      } else {
+        ReduceAgg(agg, cols, sel, k, slots + agg.slot);
+      }
+    }
+    return;
+  }
+  ComputeKeys(leaf, cols, sel, k, scratch);
   const uint32_t* keys = scratch->keys.data();
   for (size_t i = 0; i < k; ++i) {
     const size_t r = sel == nullptr ? i : sel[i];
-    double* slot = acc.slots + keys[i];
-    for (const AggSpec& agg : plan.aggs) {
+    double* slot = slots + keys[i];
+    for (const AggSpec& agg : leaf.aggs) {
       double v = 0;
       switch (agg.form) {
         case AggForm::kCount:
           slot[agg.slot] += 1.0;
           continue;
         case AggForm::kSum:
-          v = D(block.cols[agg.a][r]);
+          v = D(cols[agg.a][r]);
           break;
         case AggForm::kSumMul:
-          v = D(block.cols[agg.a][r]) * D(block.cols[agg.b][r]);
+          v = D(cols[agg.a][r]) * D(cols[agg.b][r]);
           break;
         case AggForm::kSumOneMinusMul:
-          v = D(block.cols[agg.a][r]) *
-              (1.0 - D(block.cols[agg.b][r]));
+          v = D(cols[agg.a][r]) * (1.0 - D(cols[agg.b][r]));
           break;
         case AggForm::kSumChargeMul:
-          v = D(block.cols[agg.a][r]) *
-              (1.0 - D(block.cols[agg.b][r])) *
-              (1.0 + D(block.cols[agg.c][r]));
+          v = D(cols[agg.a][r]) * (1.0 - D(cols[agg.b][r])) *
+              (1.0 + D(cols[agg.c][r]));
           break;
         case AggForm::kMin:
-          slot[agg.slot] = std::min(slot[agg.slot],
-                                    D(block.cols[agg.a][r]));
+          slot[agg.slot] = std::min(slot[agg.slot], D(cols[agg.a][r]));
           continue;
         case AggForm::kMax:
-          slot[agg.slot] = std::max(slot[agg.slot],
-                                    D(block.cols[agg.a][r]));
+          slot[agg.slot] = std::max(slot[agg.slot], D(cols[agg.a][r]));
           continue;
         case AggForm::kExpr:
-          v = scratch->temp(agg.temp)[i];
+          v = EvalScalarDouble(bound.inputs[agg.slot], cols, r);
           if (agg.kind == AggKind::kMin) {
             slot[agg.slot] = std::min(slot[agg.slot], v);
             continue;
@@ -500,98 +400,228 @@ void GroupedVecBlock(const BoundQuery& bound, ExecAcc& acc,
   }
 }
 
-void FusedBlock(const BoundQuery& bound, ExecAcc& acc,
-                const engine::ScanBlock& block) {
-  const CompiledQuery& plan = *bound.plan;
+void FusedBlock(const DagLeaf& leaf, const BoundFilter& filter,
+                ExecAcc& acc, const engine::ScanBlock& block) {
   FusedKey key;
-  key.k0 = block.cols[plan.key.cols[0]];
-  key.mask0 = (uint32_t{1} << plan.key.bits[0]) - 1;
-  if (plan.key.cols.size() == 2) {
-    key.k1 = block.cols[plan.key.cols[1]];
-    key.mask1 = (uint32_t{1} << plan.key.bits[1]) - 1;
-    key.shift1 = plan.key.bits[1];
+  key.k0 = block.cols[leaf.key.cols[0]];
+  key.mask0 = (uint32_t{1} << leaf.key.bits[0]) - 1;
+  if (leaf.key.cols.size() == 2) {
+    key.k1 = block.cols[leaf.key.cols[1]];
+    key.mask1 = (uint32_t{1} << leaf.key.bits[1]) - 1;
+    key.shift1 = leaf.key.bits[1];
   }
-  key.stride = static_cast<uint32_t>(plan.num_slots);
+  key.stride = static_cast<uint32_t>(leaf.num_slots);
 
   // Operand value slots in the layout the matched kernel expects
   // (deduplicated or flat; see fused.cc's OpndPattern).
   const uint64_t* vals[48];
-  ANKER_CHECK(plan.fused_vals.size() <= 48);
-  for (size_t v = 0; v < plan.fused_vals.size(); ++v) {
-    vals[v] = block.cols[plan.fused_vals[v]];
+  ANKER_CHECK(leaf.fused_vals.size() <= 48);
+  for (size_t v = 0; v < leaf.fused_vals.size(); ++v) {
+    vals[v] = block.cols[leaf.fused_vals[v]];
   }
-  plan.fused->Select(bound.preds.size())(acc.slots, block.cols,
-                                         bound.preds.data(),
-                                         bound.preds.size(), key, vals,
-                                         block.rows);
+  leaf.fused->Select(filter.preds.size())(acc.slots, block.cols,
+                                          filter.preds.data(),
+                                          filter.preds.size(), key, vals,
+                                          block.rows);
 }
 
-void VectorizedBlock(const BoundQuery& bound, ExecAcc& acc,
-                     const engine::ScanBlock& block, Scratch* scratch) {
-  const CompiledQuery& plan = *bound.plan;
-  const uint16_t* sel = nullptr;
-  const size_t k =
-      RunFilters(bound, block.cols, block.rows, scratch, &sel);
-  if (k == 0) return;
-  if (!plan.prog.empty()) RunProg(bound, block.cols, sel, k, scratch);
-  for (const AggSpec& agg : plan.aggs) {
-    ReduceAgg(agg, block.cols, sel, k, scratch, acc.slots + agg.slot);
-  }
-}
-
-/// ---- result assembly ----------------------------------------------------
-
-void Assemble(const BoundQuery& bound, const ExecAcc& total,
-              const engine::ScanStats& stats, QueryResult* result) {
-  const CompiledQuery& plan = *bound.plan;
-  result->columns.clear();
-  result->key_names = plan.key_names;
-  // Fast-path group keys are always packed dictionary codes.
-  result->key_types.assign(plan.key_names.size(), ExprType::kDict);
-  result->rows.clear();
-  result->rows_scanned = total.rows;
-  result->scan = stats;
-  for (const AggSpec& agg : plan.aggs) {
-    if (!agg.hidden) result->columns.push_back(agg.name);
-  }
-
-  const double* slots = total.slots;
-  std::vector<double> empty;
-  if (!total.inited) {
-    empty = bound.init_slots;
-    slots = empty.data();
-  }
-
-  for (uint32_t g = 0; g < plan.key.num_groups; ++g) {
-    const double* group = slots + g * plan.num_slots;
-    if (plan.key.grouped()) {
-      ANKER_CHECK(plan.count_slot >= 0);
-      if (group[plan.count_slot] == 0) continue;
-    }
-    QueryResult::Row row;
+/// Writes the leaf's groups as aggregate-stage rows in packed-key order:
+/// the unpacked key codes, then the visible aggregates (Avg divided by
+/// the count). Empty groups are skipped; an ungrouped leaf always writes
+/// its one row, the identity row when no row passed.
+Status WriteGroups(const BoundLeaf& bound, const ExecAcc& total,
+                   SpillArena* arena, std::unique_ptr<TempTupleStore>* out) {
+  const DagLeaf& leaf = *bound.leaf;
+  const double* slots =
+      total.inited ? total.slots : bound.init_slots.data();
+  const size_t nkeys = leaf.key.cols.size();
+  size_t width = nkeys;
+  for (const AggSpec& agg : leaf.aggs) width += agg.hidden ? 0 : 1;
+  *out = std::make_unique<TempTupleStore>(width, arena);
+  std::vector<uint64_t> row(width);
+  for (uint32_t g = 0; g < leaf.key.num_groups; ++g) {
+    const double* group = slots + g * leaf.num_slots;
+    if (leaf.key.grouped() && group[leaf.count_slot] == 0) continue;
     // Unpack the group key codes (most significant key column first, the
     // packing order of ComputeKeys / the fused kernels).
     uint32_t rest = g;
-    row.keys.resize(plan.key.cols.size());
-    for (size_t kc = plan.key.cols.size(); kc-- > 0;) {
-      const uint32_t bits = plan.key.bits[kc];
-      row.keys[kc] = rest & ((uint32_t{1} << bits) - 1);
+    for (size_t kc = nkeys; kc-- > 0;) {
+      const uint32_t bits = leaf.key.bits[kc];
+      row[kc] = storage::EncodeDict(rest & ((uint32_t{1} << bits) - 1));
       rest >>= bits;
     }
-    for (const AggSpec& agg : plan.aggs) {
+    size_t c = nkeys;
+    for (const AggSpec& agg : leaf.aggs) {
       if (agg.hidden) continue;
       double value = group[agg.slot];
       if (agg.kind == AggKind::kAvg) {
-        const double count = group[plan.count_slot];
+        const double count = group[leaf.count_slot];
         value = count > 0 ? value / count : 0.0;
       }
-      row.values.push_back(value);
+      row[c++] = storage::EncodeDouble(value);
     }
-    result->rows.push_back(std::move(row));
+    ANKER_RETURN_IF_ERROR((*out)->Append(row.data()));
   }
+  return Status::OK();
+}
+
+/// Leaf consumers: fused kernels filter inside their row loop; the
+/// vectorized aggregate takes the selection RunFilters leaves.
+Status RunLeaf(const engine::ScanDriver& driver, const BoundFilter& filter,
+               const BoundLeaf& bound, ScratchPool* pool,
+               const engine::ScanOptions& scan_opts, SpillArena* arena,
+               engine::ScanStats* stats,
+               std::unique_ptr<TempTupleStore>* out) {
+  const DagLeaf& leaf = *bound.leaf;
+  auto merge = [&](ExecAcc& into, ExecAcc&& from) {
+    if (!from.inited) return;
+    if (!into.inited) {
+      into.inited = true;
+      std::memcpy(into.slots, from.slots, leaf.total_slots * sizeof(double));
+      return;
+    }
+    if (!bound.has_minmax) {
+      for (size_t s = 0; s < leaf.total_slots; ++s) {
+        into.slots[s] += from.slots[s];
+      }
+      return;
+    }
+    for (size_t s = 0; s < leaf.total_slots; ++s) {
+      switch (bound.slot_op[s % leaf.num_slots]) {
+        case 1:
+          into.slots[s] = std::min(into.slots[s], from.slots[s]);
+          break;
+        case 2:
+          into.slots[s] = std::max(into.slots[s], from.slots[s]);
+          break;
+        default:
+          into.slots[s] += from.slots[s];
+          break;
+      }
+    }
+  };
+
+  ExecAcc total;
+  driver.FoldBlockwise<ExecAcc>(
+      &total,
+      [&](ExecAcc& acc, const engine::ScanBlock& block) {
+        PrepSlots(bound, &acc);
+        if (leaf.fused != nullptr) {
+          FusedBlock(leaf, filter, acc, block);
+          return;
+        }
+        std::unique_ptr<Scratch> scratch = pool->Acquire();
+        const uint16_t* sel = nullptr;
+        const size_t k =
+            RunFilters(filter, block.cols, block.rows, scratch.get(), &sel);
+        if (k > 0) {
+          AggregateBlock(bound, block.cols, sel, k, scratch.get(),
+                         acc.slots);
+        }
+        pool->Release(std::move(scratch));
+      },
+      merge, stats, scan_opts);
+  return WriteGroups(bound, total, arena, out);
+}
+
+/// Emits the passing rows, reassembled in block order so parallel and
+/// serial scans produce identical stores.
+Status EmitRows(const engine::ScanDriver& driver, const BoundFilter& filter,
+                ScratchPool* pool, const engine::ScanOptions& scan_opts,
+                engine::ScanStats* stats, TempTupleStore* out) {
+  const size_t width = out->width();
+  // Per-block row-major runs keyed by block begin; the post-fold sort by
+  // begin restores block order whatever the morsel schedule was.
+  struct Acc {
+    std::vector<std::pair<size_t, std::vector<uint64_t>>> runs;
+  };
+  Acc total{};
+  driver.FoldBlockwise<Acc>(
+      &total,
+      [&](Acc& acc, const engine::ScanBlock& block) {
+        std::unique_ptr<Scratch> scratch = pool->Acquire();
+        const uint16_t* sel = nullptr;
+        const size_t k =
+            RunFilters(filter, block.cols, block.rows, scratch.get(), &sel);
+        if (k > 0) {
+          acc.runs.emplace_back(block.begin, std::vector<uint64_t>(k * width));
+          uint64_t* run = acc.runs.back().second.data();
+          for (size_t i = 0; i < k; ++i) {
+            const size_t r = sel == nullptr ? i : sel[i];
+            for (size_t c = 0; c < width; ++c) {
+              run[i * width + c] = block.cols[c][r];
+            }
+          }
+        }
+        pool->Release(std::move(scratch));
+      },
+      [](Acc& into, Acc&& from) {
+        into.runs.insert(into.runs.end(),
+                         std::make_move_iterator(from.runs.begin()),
+                         std::make_move_iterator(from.runs.end()));
+      },
+      stats, scan_opts);
+
+  std::sort(total.runs.begin(), total.runs.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& run : total.runs) {
+    const size_t n = run.second.size() / width;
+    for (size_t r = 0; r < n; ++r) {
+      ANKER_RETURN_IF_ERROR(out->Append(run.second.data() + r * width));
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
+
+Status RunBaseScan(const DagScan& scan, const DagLeaf* leaf,
+                   const engine::OlapContext& ctx, const Params& params,
+                   const engine::ScanOptions& scan_opts, SpillArena* arena,
+                   uint64_t* rows_scanned, engine::ScanStats* stats,
+                   std::unique_ptr<TempTupleStore>* out) {
+  BoundFilter filter;
+  ANKER_RETURN_IF_ERROR(BindPredsFor(scan.preds, scan.columns, scan.table,
+                                     params, &filter.preds));
+  filter.generic.reserve(scan.generic_preds.size());
+  for (const GenericPred& pred : scan.generic_preds) {
+    auto bound = BindTupleScalar(pred.expr, scan.schema, params);
+    if (!bound.ok()) return bound.status();
+    filter.generic.push_back(bound.TakeValue());
+  }
+  BoundLeaf bound_leaf;
+  if (leaf != nullptr) {
+    ANKER_RETURN_IF_ERROR(BindLeaf(*leaf, scan, params, &bound_leaf));
+  }
+
+  std::vector<engine::ColumnReader> readers;
+  readers.reserve(scan.columns.size());
+  for (storage::Column* column : scan.columns) {
+    auto reader = ctx.TryReader(column);
+    if (!reader.ok()) return reader.status();
+    readers.push_back(reader.value());
+  }
+  std::vector<const engine::ColumnReader*> reader_ptrs;
+  reader_ptrs.reserve(readers.size());
+  for (const engine::ColumnReader& reader : readers) {
+    reader_ptrs.push_back(&reader);
+  }
+  engine::ScanDriver driver(std::move(reader_ptrs));
+
+  ScratchPool pool;
+  engine::ScanStats local_stats;
+  if (leaf != nullptr) {
+    ANKER_RETURN_IF_ERROR(RunLeaf(driver, filter, bound_leaf, &pool,
+                                  scan_opts, arena, &local_stats, out));
+  } else {
+    *out = std::make_unique<TempTupleStore>(scan.columns.size(), arena);
+    ANKER_RETURN_IF_ERROR(EmitRows(driver, filter, &pool, scan_opts,
+                                   &local_stats, out->get()));
+  }
+  if (rows_scanned != nullptr) *rows_scanned += driver.num_rows();
+  stats->Merge(local_stats);
+  return Status::OK();
+}
 
 Status Execute(const Query& query, const engine::OlapContext& ctx,
                const Params& params, QueryResult* result) {
@@ -613,110 +643,7 @@ Status Execute(const Query& query, const engine::OlapContext& ctx,
                                      "' is not used by this query");
     }
   }
-
-  if (plan.strategy == ExecStrategy::kDag ||
-      (exec_options.force_dag && plan.dag != nullptr)) {
-    return ExecuteDag(plan, ctx, params, exec_options, result);
-  }
-
-  BoundQuery bound;
-  ANKER_RETURN_IF_ERROR(Bind(plan, params, &bound));
-
-  std::vector<engine::ColumnReader> readers;
-  readers.reserve(plan.columns.size());
-  for (storage::Column* column : plan.columns) {
-    auto reader = ctx.TryReader(column);
-    if (!reader.ok()) return reader.status();
-    readers.push_back(reader.value());
-  }
-  std::vector<const engine::ColumnReader*> reader_ptrs;
-  reader_ptrs.reserve(readers.size());
-  for (const engine::ColumnReader& reader : readers) {
-    reader_ptrs.push_back(&reader);
-  }
-  engine::ScanDriver driver(std::move(reader_ptrs));
-
-  auto merge = [&](ExecAcc& into, ExecAcc&& from) {
-    if (!from.inited) return;
-    if (!into.inited) {
-      into.inited = true;
-      into.rows = from.rows;
-      std::memcpy(into.slots, from.slots,
-                  plan.total_slots * sizeof(double));
-      return;
-    }
-    into.rows += from.rows;
-    if (!bound.has_minmax) {
-      for (size_t s = 0; s < plan.total_slots; ++s) {
-        into.slots[s] += from.slots[s];
-      }
-      return;
-    }
-    for (size_t s = 0; s < plan.total_slots; ++s) {
-      switch (bound.slot_op[s % plan.num_slots]) {
-        case 1:
-          into.slots[s] = std::min(into.slots[s], from.slots[s]);
-          break;
-        case 2:
-          into.slots[s] = std::max(into.slots[s], from.slots[s]);
-          break;
-        default:
-          into.slots[s] += from.slots[s];
-          break;
-      }
-    }
-  };
-
-  ExecAcc total{};
-  engine::ScanStats stats;
-  const engine::ScanOptions options = exec_options.scan_options != nullptr
-                                          ? *exec_options.scan_options
-                                          : ctx.scan_options();
-
-  switch (plan.strategy) {
-    case ExecStrategy::kFusedGrouped: {
-      driver.FoldBlockwise<ExecAcc>(
-          &total,
-          [&](ExecAcc& acc, const engine::ScanBlock& block) {
-            PrepSlots(bound, &acc);
-            acc.rows += block.rows;
-            FusedBlock(bound, acc, block);
-          },
-          merge, &stats, options);
-      break;
-    }
-    case ExecStrategy::kGroupedVec: {
-      driver.FoldBlockwise<ExecAcc>(
-          &total,
-          [&](ExecAcc& acc, const engine::ScanBlock& block) {
-            PrepSlots(bound, &acc);
-            acc.rows += block.rows;
-            std::unique_ptr<Scratch> scratch = bound.pool->Acquire();
-            GroupedVecBlock(bound, acc, block, scratch.get());
-            bound.pool->Release(std::move(scratch));
-          },
-          merge, &stats, options);
-      break;
-    }
-    case ExecStrategy::kVectorized: {
-      driver.FoldBlockwise<ExecAcc>(
-          &total,
-          [&](ExecAcc& acc, const engine::ScanBlock& block) {
-            PrepSlots(bound, &acc);
-            acc.rows += block.rows;
-            std::unique_ptr<Scratch> scratch = bound.pool->Acquire();
-            VectorizedBlock(bound, acc, block, scratch.get());
-            bound.pool->Release(std::move(scratch));
-          },
-          merge, &stats, options);
-      break;
-    }
-    case ExecStrategy::kDag:
-      return Status::Internal("kDag strategy reached the fast-path switch");
-  }
-
-  Assemble(bound, total, stats, result);
-  return Status::OK();
+  return ExecuteDag(plan, ctx, params, exec_options, result);
 }
 
 }  // namespace anker::query

@@ -271,7 +271,7 @@ int CompareCell(const QueryResult::Row& a, const QueryResult::Row& b,
 
 /// Output columns in the producing plan's schema order, for the
 /// full-row tiebreak. Falls back to keys-then-values when the result
-/// carries no interleave (non-DAG execution strategies).
+/// carries no interleave.
 std::vector<CellRef> SchemaOrder(const QueryResult& result) {
   std::vector<CellRef> order;
   if (result.interleave.size() ==
@@ -497,19 +497,6 @@ Status MergePartialAgg(const ScatterPlan& plan,
 
 }  // namespace
 
-const char* ScatterModeName(ScatterMode mode) {
-  switch (mode) {
-    case ScatterMode::kSingleShard:
-      return "single-shard";
-    case ScatterMode::kConcat:
-      return "concat";
-    case ScatterMode::kPartialAgg:
-      return "partial-agg";
-    case ScatterMode::kUnsupported:
-      return "unsupported";
-  }
-  return "unknown";
-}
 
 ScatterPlan PlanScatter(const WireQuery& query,
                         const PartitionMap& partitioned) {

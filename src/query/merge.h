@@ -54,8 +54,6 @@ enum class ScatterMode {
   kUnsupported,
 };
 
-const char* ScatterModeName(ScatterMode mode);
-
 struct ScatterPlan {
   ScatterMode mode = ScatterMode::kUnsupported;
   /// kUnsupported: what made the plan cross-shard.

@@ -3,8 +3,9 @@
 
 // Internal physical-plan structures of the query layer: what
 // QueryBuilder::Build compiles a declarative query into, and what the
-// executors in exec.cc / fused.cc / dag_exec.cc consume. Nothing here is
-// part of the public API surface (query.h re-exports only the handles).
+// executor (dag_exec.cc, with its scan leaf in exec.cc and fused.cc)
+// consumes. Nothing here is part of the public API surface (query.h
+// re-exports only the handles).
 
 #include <cstdint>
 #include <memory>
@@ -17,25 +18,6 @@
 namespace anker::query {
 
 class Params;
-
-/// How a compiled query executes (see docs/QUERY_API.md for the lowering
-/// rules):
-///  - kFusedGrouped: grouped aggregation whose aggregate expressions all
-///    matched the fused-kernel menu — one compile-time-unrolled pass per
-///    block, the same shape a hand-written kernel would take;
-///  - kGroupedVec: grouped aggregation fallback — vectorized selection +
-///    temp passes, generic per-aggregate accumulation;
-///  - kVectorized: ungrouped aggregation — selection-vector passes with
-///    unrolled reductions (beats per-row loops on selective filters).
-enum class ExecStrategy : uint8_t {
-  kFusedGrouped,
-  kGroupedVec,
-  kVectorized,
-  /// Operator DAG (query/dag.h): scans feeding partitioned hash joins,
-  /// hash aggregation, window functions and sort/top-k through
-  /// spill-capable tuple stores. Everything the fast paths cannot shape.
-  kDag,
-};
 
 /// Join types of the DAG's partitioned hash join.
 enum class JoinType : uint8_t {
@@ -57,19 +39,20 @@ enum class WinFn : uint8_t {
   kCount,
 };
 
-/// Hard budget on a plan's accumulator slots (groups x aggregates,
-/// incl. the hidden count): sized so the executor can keep the whole
-/// accumulator in a fixed stack array. Build rejects bigger plans; the
-/// executor's ExecAcc is dimensioned by this same constant.
+/// Hard budget on a scan→aggregate leaf's accumulator slots (groups x
+/// aggregates, incl. the hidden count): sized so the leaf can keep the
+/// whole accumulator in a fixed stack array. Bigger plans get no leaf;
+/// the leaf's ExecAcc is dimensioned by this same constant.
 inline constexpr size_t kMaxTotalSlots = 1024;
 
-/// Most simple predicates a fused kernel accepts; plans with more lower
-/// to the generic grouped path (which has no predicate bound).
+/// Most simple predicates a fused kernel accepts; plans with more take
+/// the vectorized aggregate (which has no predicate bound).
 inline constexpr size_t kMaxFusedSimplePreds = 16;
 
 /// Fused aggregate forms: the closed menu of per-row update shapes the
 /// pre-instantiated kernels cover. kExpr marks an aggregate that did not
-/// match the menu and is evaluated through the temp program instead.
+/// match the menu; the vectorized aggregate evaluates its input per
+/// selected row with the scalar interpreter.
 enum class AggForm : uint8_t {
   kCount,           ///< += 1
   kSum,             ///< += a
@@ -81,8 +64,9 @@ enum class AggForm : uint8_t {
   kExpr,
 };
 
-/// Declared aggregate kinds (public builder surface). kCountDistinct is
-/// DAG-only: the fused fast paths carry no per-group distinct sets.
+/// Declared aggregate kinds (public builder surface). kCountDistinct runs
+/// in hash aggregation only: the scan→aggregate leaf carries no
+/// per-group distinct sets.
 enum class AggKind : uint8_t {
   kSum,
   kCount,
@@ -96,7 +80,7 @@ enum class AggKind : uint8_t {
 /// typed interval. Bounds are const expressions (literals, params, and
 /// arithmetic over them) folded to raw values at bind time.
 struct SimplePred {
-  uint16_t col = 0;  ///< Index into CompiledQuery::columns.
+  uint16_t col = 0;  ///< Index into the scan's column set.
   ExprType domain = ExprType::kInt64;  ///< Compare domain after encoding.
   std::shared_ptr<const ExprNode> lo;  ///< nullptr = open below.
   std::shared_ptr<const ExprNode> hi;  ///< nullptr = open above.
@@ -131,39 +115,12 @@ struct KeySpec {
   bool grouped() const { return !cols.empty(); }
 };
 
-/// Ops of the vectorized temp program. Loads gather a column through the
-/// selection (decoding by column type); arithmetic runs temp-at-a-time;
-/// *C variants fold a const-expr operand (bound per execution).
-enum class VecOp : uint8_t {
-  kLoadF64,   ///< temps[dst] = double(col)
-  kLoadI64,   ///< temps[dst] = (double)int64(col)
-  kLoadDict,  ///< temps[dst] = (double)dict_code(col)
-  kConst,     ///< temps[dst] = c
-  kAdd,       ///< temps[dst] = temps[a] + temps[b]
-  kSub,
-  kMul,
-  kAddC,   ///< temps[dst] = temps[a] + c
-  kSubC,   ///< temps[dst] = temps[a] - c
-  kRsubC,  ///< temps[dst] = c - temps[a]
-  kMulC,   ///< temps[dst] = temps[a] * c
-};
-
-struct VecInst {
-  VecOp op;
-  uint8_t dst = 0;
-  uint8_t a = 0;
-  uint8_t b = 0;
-  uint16_t col = 0;
-  std::shared_ptr<const ExprNode> cexpr;  ///< Const operand of *C/kConst.
-};
-
 /// One declared aggregate after lowering.
 struct AggSpec {
   std::string name;
   AggKind kind = AggKind::kSum;
   AggForm form = AggForm::kExpr;
   uint16_t a = 0, b = 0, c = 0;  ///< Operand columns of fused forms.
-  int temp = -1;                 ///< Temp holding the input (kExpr path).
   int slot = -1;                 ///< Output slot within a group.
   bool hidden = false;           ///< Implicit count, not in the result.
   Expr expr;                     ///< Original input (invalid for kCount).
@@ -238,25 +195,8 @@ struct DagPlan;
 struct CompiledQuery {
   storage::Table* table = nullptr;
   std::vector<storage::Column*> columns;  ///< Deduplicated scan set.
-  std::vector<SimplePred> preds;
-  std::vector<GenericPred> generic_preds;
-  KeySpec key;
-  std::vector<std::string> key_names;
-  std::vector<AggSpec> aggs;  ///< Declared order; hidden count last.
-  int count_slot = -1;        ///< Slot of some count (-1 if none needed).
-  size_t num_slots = 0;       ///< Slots per group (incl. hidden).
-  size_t total_slots = 0;     ///< num_groups * num_slots.
-  std::vector<VecInst> prog;
-  size_t num_temps = 0;
-  ExecStrategy strategy = ExecStrategy::kVectorized;
-  const FusedKernelSet* fused = nullptr;
-  /// Column index per value slot of the fused kernel's operand array
-  /// (deduplicated when an operand-sharing pattern matched).
-  std::vector<uint16_t> fused_vals;
-  /// Operator-DAG lowering of the same declaration (query/dag.h). Set on
-  /// every plan: kDag strategies execute it; fast-path plans are lowered
-  /// from it (sharing its scan's columns and schema) and keep it for
-  /// ExecOptions::force_dag differential runs.
+  /// The operator pipeline (query/dag.h) that executes the declaration;
+  /// single-table aggregations carry a scan→aggregate leaf on it.
   std::shared_ptr<const DagPlan> dag;
   /// Every parameter name the plan (and its sub-plans) can bind, sorted:
   /// Execute rejects bindings outside this set as recoverable errors.
@@ -303,22 +243,6 @@ Status BindPredsFor(const std::vector<SimplePred>& preds,
                     const std::vector<storage::Column*>& columns,
                     storage::Table* table, const Params& params,
                     std::vector<BoundPred>* out);
-
-/// Row-wise check of bound predicates over block-local column spans.
-inline bool PredsPass(const BoundPred* preds, size_t npreds,
-                      const uint64_t* const* cols, size_t i) {
-  for (size_t p = 0; p < npreds; ++p) {
-    const BoundPred& pd = preds[p];
-    if (pd.is_double) {
-      const double v = storage::DecodeDouble(cols[pd.col][i]);
-      if (v < pd.dlo || v > pd.dhi) return false;
-    } else {
-      const int64_t v = static_cast<int64_t>(cols[pd.col][i]);
-      if (v < pd.ilo || v > pd.ihi) return false;
-    }
-  }
-  return true;
-}
 
 /// A scalar expression bound for execution: params folded, column refs
 /// resolved to schema slots (see BindTupleScalar in dag.h).

@@ -1,8 +1,7 @@
 #include "query/query.h"
 
-#include <cmath>
-#include <limits>
-#include <map>
+#include <algorithm>
+#include <string>
 
 #include "query/dag.h"
 
@@ -151,7 +150,6 @@ QueryBuilder& QueryBuilder::Limit(int64_t n) {
 
 namespace {
 
-constexpr size_t kMaxTemps = 12;
 constexpr uint32_t kMaxGroups = 1024;
 
 uint32_t BitsFor(size_t domain) {
@@ -160,20 +158,20 @@ uint32_t BitsFor(size_t domain) {
   return bits;
 }
 
-/// True when the accepted DAG plan has a shape the fused / vectorized
-/// single-table kernels cannot run: anything beyond a filtered,
-/// optionally grouped aggregation over one base table.
-bool NeedsDag(const DagPlan& dag) {
+/// True when the accepted DAG plan is a filtered, optionally grouped
+/// aggregation over one base table and nothing more: the shapes a
+/// scan→aggregate leaf can run.
+bool HasLeafShape(const DagPlan& dag) {
   if (dag.scan.table == nullptr || !dag.joins.empty() || !dag.agg.present ||
       dag.agg.having.valid() || dag.window.present ||
       dag.final_filter.valid() || !dag.select.empty() ||
       !dag.order.empty() || dag.limit >= 0) {
-    return true;
+    return false;
   }
   for (const DagAggSpec& agg : dag.agg.aggs) {
-    if (agg.kind == AggKind::kCountDistinct) return true;
+    if (agg.kind == AggKind::kCountDistinct) return false;
   }
-  return false;
+  return true;
 }
 
 /// Slot of a column the DAG scan already projects (every column a
@@ -304,127 +302,17 @@ AggForm MatchForm(AggKind kind, const ExprNode* node,
   return AggForm::kExpr;
 }
 
-/// Compiles an expression into the vectorized temp program with
-/// value-numbering CSE. Returns the temp index holding the (double)
-/// result.
-class VecCompiler {
- public:
-  VecCompiler(CompiledQuery* plan, const std::vector<DagOutCol>& schema)
-      : plan_(plan), schema_(schema) {}
-
-  Result<int> Compile(const std::shared_ptr<const ExprNode>& node) {
-    const std::string sig = Signature(node.get());
-    auto it = memo_.find(sig);
-    if (it != memo_.end()) return it->second;
-
-    VecInst inst;
-    if (IsConstNode(node.get())) {
-      inst.op = VecOp::kConst;
-      inst.cexpr = node;
-    } else if (node->kind == ExprKind::kColumn) {
-      inst.col = ScanSlot(schema_, node->name);
-      switch (schema_[inst.col].type) {
-        case ExprType::kDouble:
-          inst.op = VecOp::kLoadF64;
-          break;
-        case ExprType::kDict:
-          inst.op = VecOp::kLoadDict;
-          break;
-        default:
-          inst.op = VecOp::kLoadI64;
-          break;
-      }
-    } else if (node->kind == ExprKind::kAdd ||
-               node->kind == ExprKind::kSub ||
-               node->kind == ExprKind::kMul) {
-      const bool lconst = IsConstNode(node->lhs.get());
-      const bool rconst = IsConstNode(node->rhs.get());
-      if (lconst && !rconst) {
-        auto temp = Compile(node->rhs);
-        if (!temp.ok()) return temp;
-        inst.a = static_cast<uint8_t>(temp.value());
-        inst.cexpr = node->lhs;
-        switch (node->kind) {
-          case ExprKind::kAdd: inst.op = VecOp::kAddC; break;
-          case ExprKind::kSub: inst.op = VecOp::kRsubC; break;
-          default: inst.op = VecOp::kMulC; break;
-        }
-      } else if (rconst && !lconst) {
-        auto temp = Compile(node->lhs);
-        if (!temp.ok()) return temp;
-        inst.a = static_cast<uint8_t>(temp.value());
-        inst.cexpr = node->rhs;
-        switch (node->kind) {
-          case ExprKind::kAdd: inst.op = VecOp::kAddC; break;
-          case ExprKind::kSub: inst.op = VecOp::kSubC; break;
-          default: inst.op = VecOp::kMulC; break;
-        }
-      } else {
-        auto lhs = Compile(node->lhs);
-        if (!lhs.ok()) return lhs;
-        auto rhs = Compile(node->rhs);
-        if (!rhs.ok()) return rhs;
-        inst.a = static_cast<uint8_t>(lhs.value());
-        inst.b = static_cast<uint8_t>(rhs.value());
-        switch (node->kind) {
-          case ExprKind::kAdd: inst.op = VecOp::kAdd; break;
-          case ExprKind::kSub: inst.op = VecOp::kSub; break;
-          default: inst.op = VecOp::kMul; break;
-        }
-      }
-    } else {
-      return Status::NotSupported(
-          "comparisons inside aggregate expressions are not supported");
-    }
-
-    if (plan_->num_temps >= kMaxTemps) {
-      return Status::NotSupported("aggregate expressions need more than " +
-                                  std::to_string(kMaxTemps) +
-                                  " temporaries");
-    }
-    inst.dst = static_cast<uint8_t>(plan_->num_temps++);
-    plan_->prog.push_back(inst);
-    memo_[sig] = inst.dst;
-    return static_cast<int>(inst.dst);
-  }
-
- private:
-  std::string Signature(const ExprNode* node) {
-    if (node == nullptr) return "_";
-    std::string sig(1, static_cast<char>('A' + static_cast<int>(node->kind)));
-    switch (node->kind) {
-      case ExprKind::kColumn:
-        return sig + node->name;
-      case ExprKind::kLiteral:
-        return sig + std::to_string(node->raw);
-      case ExprKind::kParam:
-        return sig + node->name;
-      default:
-        return sig + "(" + Signature(node->lhs.get()) + "," +
-               Signature(node->rhs.get()) + ")";
-    }
-  }
-
-  CompiledQuery* plan_;
-  const std::vector<DagOutCol>& schema_;
-  std::map<std::string, int> memo_;
-};
-
-/// Lowers an accepted single-table DAG plan onto the fused / vectorized
-/// kernels. The DAG lowering already resolved, type-checked and named
-/// everything; this adds only what those kernels need: packed dictionary
-/// group keys, fused-form matching, the temp program and the slot layout.
+/// Lowers the scan→aggregate leaf of an accepted single-table DAG plan.
+/// The DAG lowering already resolved, type-checked and named everything;
+/// this adds only what the leaf's block kernels need: packed dictionary
+/// group keys, fused-form matching, the slot layout and the fused kernel.
 /// Fails (NotSupported) on shapes the kernels cannot take, such as
-/// non-dictionary or wide group keys; those run as a DAG.
-Result<std::shared_ptr<const CompiledQuery>> BuildFastPath(
-    const CompiledQuery& dag_plan) {
-  const DagScan& scan = dag_plan.dag->scan;
-  const DagAggregate& agg = dag_plan.dag->agg;
-  // One base-table scan: the plan's column set is the scan's, so the
-  // scan's column indexes (predicates, schema slots) carry over as-is.
-  auto plan = std::make_shared<CompiledQuery>(dag_plan);
-  plan->preds = scan.preds;
-  plan->generic_preds = scan.generic_preds;
+/// non-dictionary or wide group keys; those run without a leaf.
+Result<DagLeaf> BuildLeaf(const DagPlan& dag) {
+  const DagScan& scan = dag.scan;
+  const DagAggregate& agg = dag.agg;
+  DagLeaf leaf;
+  leaf.present = true;
 
   // ---- group key: packed small-domain dictionary codes ----
   uint32_t total_bits = 0;
@@ -436,9 +324,8 @@ Result<std::shared_ptr<const CompiledQuery>> BuildFastPath(
           "' is " + ExprTypeName(key.type));
     }
     const uint32_t bits = BitsFor(std::max<size_t>(key.dict->size(), 2));
-    plan->key.cols.push_back(col);
-    plan->key.bits.push_back(bits);
-    plan->key_names.push_back(key.name);
+    leaf.key.cols.push_back(col);
+    leaf.key.bits.push_back(bits);
     total_bits += bits;
     if (total_bits > 31 || (uint32_t{1} << total_bits) > kMaxGroups) {
       return Status::NotSupported(
@@ -446,11 +333,10 @@ Result<std::shared_ptr<const CompiledQuery>> BuildFastPath(
           " packed groups");
     }
   }
-  plan->key.num_groups = plan->key.grouped() ? (uint32_t{1} << total_bits)
-                                             : 1;
+  leaf.key.num_groups = leaf.key.grouped() ? (uint32_t{1} << total_bits)
+                                           : 1;
 
-  // ---- aggregates: fused-form matching, temp program ----
-  VecCompiler compiler(plan.get(), scan.schema);
+  // ---- aggregates: fused-form matching ----
   int declared_count_slot = -1;
   for (size_t i = 0; i < agg.aggs.size(); ++i) {
     const DagAggSpec& decl = agg.aggs[i];
@@ -465,108 +351,99 @@ Result<std::shared_ptr<const CompiledQuery>> BuildFastPath(
       spec.expr = decl.expr;
       spec.form = MatchForm(decl.kind, decl.expr.node(), scan.schema,
                             &spec.a, &spec.b, &spec.c);
-      if (spec.form == AggForm::kExpr) {
-        auto temp = compiler.Compile(decl.expr.shared());
-        if (!temp.ok()) return temp.status();
-        spec.temp = temp.value();
-      }
     }
-    plan->aggs.push_back(std::move(spec));
+    leaf.aggs.push_back(std::move(spec));
   }
 
   // Grouped queries (group presence) and Avg (the divisor) need a row
   // count; reuse a declared Count or append a hidden one.
-  bool needs_count = plan->key.grouped();
-  for (const AggSpec& spec : plan->aggs) {
+  bool needs_count = leaf.key.grouped();
+  for (const AggSpec& spec : leaf.aggs) {
     if (spec.kind == AggKind::kAvg) needs_count = true;
   }
-  plan->count_slot = declared_count_slot;
-  if (needs_count && plan->count_slot < 0) {
+  leaf.count_slot = declared_count_slot;
+  if (needs_count && leaf.count_slot < 0) {
     AggSpec hidden;
     hidden.kind = AggKind::kCount;
     hidden.form = AggForm::kCount;
     hidden.name = "__count";
     hidden.hidden = true;
-    hidden.slot = static_cast<int>(plan->aggs.size());
-    plan->count_slot = hidden.slot;
-    plan->aggs.push_back(std::move(hidden));
+    hidden.slot = static_cast<int>(leaf.aggs.size());
+    leaf.count_slot = hidden.slot;
+    leaf.aggs.push_back(std::move(hidden));
   }
 
-  plan->num_slots = plan->aggs.size();
-  plan->total_slots = plan->num_slots * plan->key.num_groups;
-  if (plan->total_slots > kMaxTotalSlots) {
+  leaf.num_slots = leaf.aggs.size();
+  leaf.total_slots = leaf.num_slots * leaf.key.num_groups;
+  if (leaf.total_slots > kMaxTotalSlots) {
     return Status::NotSupported(
         "groups x aggregates exceeds the accumulator budget (" +
-        std::to_string(plan->total_slots) + " > " +
+        std::to_string(leaf.total_slots) + " > " +
         std::to_string(kMaxTotalSlots) + " slots)");
   }
 
-  // ---- strategy selection ----
-  if (!plan->key.grouped()) {
-    plan->strategy = ExecStrategy::kVectorized;
-  } else {
-    // Fused kernels carry a fixed-size local predicate array; busier
-    // filters take the generic grouped path instead of being truncated.
-    bool fusable = plan->generic_preds.empty() &&
-                   plan->preds.size() <= kMaxFusedSimplePreds &&
-                   (plan->key.cols.size() == 1 || plan->key.cols.size() == 2);
-    std::vector<AggForm> forms;
-    for (const AggSpec& spec : plan->aggs) {
-      forms.push_back(spec.form);
-      if (spec.form == AggForm::kExpr) fusable = false;
-    }
-    if (fusable) {
-      // Operand-sharing pattern: flat operand position -> first
-      // occurrence of that column (the registry may carry a kernel with
-      // exactly this sharing baked in; see fused.cc).
-      std::vector<uint16_t> flat_cols;
-      std::vector<uint16_t> pattern;
-      std::vector<uint16_t> distinct;
-      for (const AggSpec& spec : plan->aggs) {
-        const size_t arity = FusedArity(spec.form);
-        const uint16_t operands[3] = {spec.a, spec.b, spec.c};
-        for (size_t o = 0; o < arity; ++o) {
-          flat_cols.push_back(operands[o]);
-          uint16_t slot = 0xffff;
-          for (size_t d = 0; d < distinct.size(); ++d) {
-            if (distinct[d] == operands[o]) {
-              slot = static_cast<uint16_t>(d);
-              break;
-            }
-          }
-          if (slot == 0xffff) {
-            slot = static_cast<uint16_t>(distinct.size());
-            distinct.push_back(operands[o]);
-          }
-          pattern.push_back(slot);
-        }
-      }
-      const FusedLookup lookup =
-          FindFusedKernel(forms, plan->key.cols.size(), pattern);
-      plan->fused = lookup.set;
-      plan->fused_vals = lookup.deduplicated ? distinct : flat_cols;
-    }
-    plan->strategy = plan->fused != nullptr ? ExecStrategy::kFusedGrouped
-                                            : ExecStrategy::kGroupedVec;
+  // ---- fused kernel (grouped only) ----
+  // Fused kernels carry a fixed-size local predicate array; busier
+  // filters take the vectorized aggregate instead of being truncated.
+  bool fusable = leaf.key.grouped() && scan.generic_preds.empty() &&
+                 scan.preds.size() <= kMaxFusedSimplePreds &&
+                 leaf.key.cols.size() <= 2;
+  std::vector<AggForm> forms;
+  for (const AggSpec& spec : leaf.aggs) {
+    forms.push_back(spec.form);
+    if (spec.form == AggForm::kExpr) fusable = false;
   }
-
-  return std::shared_ptr<const CompiledQuery>(std::move(plan));
+  if (fusable) {
+    // Operand-sharing pattern: flat operand position -> first occurrence
+    // of that column (the registry may carry a kernel with exactly this
+    // sharing baked in; see fused.cc).
+    std::vector<uint16_t> flat_cols;
+    std::vector<uint16_t> pattern;
+    std::vector<uint16_t> distinct;
+    for (const AggSpec& spec : leaf.aggs) {
+      const size_t arity = FusedArity(spec.form);
+      const uint16_t operands[3] = {spec.a, spec.b, spec.c};
+      for (size_t o = 0; o < arity; ++o) {
+        flat_cols.push_back(operands[o]);
+        uint16_t slot = 0xffff;
+        for (size_t d = 0; d < distinct.size(); ++d) {
+          if (distinct[d] == operands[o]) {
+            slot = static_cast<uint16_t>(d);
+            break;
+          }
+        }
+        if (slot == 0xffff) {
+          slot = static_cast<uint16_t>(distinct.size());
+          distinct.push_back(operands[o]);
+        }
+        pattern.push_back(slot);
+      }
+    }
+    const FusedLookup lookup =
+        FindFusedKernel(forms, leaf.key.cols.size(), pattern);
+    leaf.fused = lookup.set;
+    leaf.fused_vals = lookup.deduplicated ? distinct : flat_cols;
+  }
+  return leaf;
 }
 
 }  // namespace
 
 Result<Query> QueryBuilder::Build() const {
   // The DAG lowering performs the full name / type validation for every
-  // declarable shape, so it runs first unconditionally; its plan also
-  // backs force_dag differential runs and server-side recompilation.
-  auto dag = BuildDagQuery(*this);
-  if (!dag.ok() || NeedsDag(*dag.value().plan().dag)) return dag;
-  // Single-table filtered-aggregate shape: lower it once more onto the
-  // fused / vectorized kernels; shapes those kernels reject (non-dict
-  // group keys, wide domains) run as a DAG instead.
-  auto fast = BuildFastPath(dag.value().plan());
-  if (!fast.ok()) return dag;
-  return Query(fast.TakeValue());
+  // declarable shape, so it runs first unconditionally.
+  auto built = BuildDagQuery(*this);
+  if (!built.ok() || !HasLeafShape(*built.value().plan().dag)) return built;
+  // Single-table filtered-aggregate shape: add the scan→aggregate leaf;
+  // shapes its kernels reject (non-dict group keys, wide domains) run
+  // without one.
+  auto leaf = BuildLeaf(*built.value().plan().dag);
+  if (!leaf.ok()) return built;
+  auto dag = std::make_shared<DagPlan>(*built.value().plan().dag);
+  dag->leaf = leaf.TakeValue();
+  auto plan = std::make_shared<CompiledQuery>(built.value().plan());
+  plan->dag = std::move(dag);
+  return Query(std::move(plan));
 }
 
 }  // namespace anker::query

@@ -4,10 +4,9 @@
 // The composable query surface of the engine: typed expression trees
 // (query/expr.h) assembled into declarative pipelines that compile onto a
 // physical operator DAG — morsel-parallel scans, partitioned hash joins,
-// hash aggregation, window functions and sort/top-k — or, for the
-// single-table filtered-aggregate shapes, directly onto the engine's
-// block-specialized scan kernels. A workload becomes a ~10-line
-// definition instead of a hand-rolled fold:
+// hash aggregation, window functions and sort/top-k — whose single-table
+// filtered aggregations run as a scan→aggregate leaf of block kernels. A
+// workload becomes a ~10-line definition instead of a hand-rolled fold:
 //
 //   auto q = Query::On(lineitem)
 //                .Filter(Col("l_shipdate") > Param("cutoff", kDate))
@@ -24,7 +23,7 @@
 //   auto result = db.Run(q.value(), Params().SetDate("cutoff", 2436)...);
 //
 // See docs/QUERY_API.md for the full builder reference and the lowering
-// rules onto the fused / vectorized kernels and the operator DAG.
+// rules onto the operator DAG and its scan→aggregate leaf.
 
 #include <cstdint>
 #include <map>
@@ -104,8 +103,8 @@ Agg Count();
 Agg Avg(Expr expr);
 Agg Min(Expr expr);
 Agg Max(Expr expr);
-/// Number of distinct values of `expr` per group (DAG-only: the fused
-/// fast paths never carry per-group distinct sets).
+/// Number of distinct values of `expr` per group (hash aggregation only:
+/// the scan→aggregate leaf carries no per-group distinct sets).
 Agg CountDistinct(Expr expr);
 
 /// Sort key of OrderBy / window ordering: column name of the stage's
@@ -163,8 +162,8 @@ class JoinInput {
 /// Per-execution knobs of Execute / Database::Run. Defaults match the
 /// plain overloads.
 struct ExecOptions {
-  /// Run through the operator DAG even when the plan compiled onto a
-  /// fused / vectorized fast path (differential testing).
+  /// Skip the plan's scan→aggregate leaf and run scan rows through hash
+  /// aggregation instead: the differential reference for the leaf.
   bool force_dag = false;
   /// Memory budget of one execution's intermediate tuple stores; above
   /// it, completed chunks spill to anonymous temporary files.
@@ -226,7 +225,6 @@ class Query {
   const std::vector<storage::Column*>& columns() const {
     return plan_->columns;
   }
-  ExecStrategy strategy() const { return plan_->strategy; }
 
   const CompiledQuery& plan() const { return *plan_; }
   const std::shared_ptr<const CompiledQuery>& shared_plan() const {
@@ -242,9 +240,8 @@ class Query {
 };
 
 /// Collects the declarative pieces; Build() type-checks against the
-/// schemas involved and lowers onto a physical strategy: the fused /
-/// vectorized single-table kernels when the shape allows, the operator
-/// DAG otherwise. Stage order is fixed: input -> joins (declaration
+/// schemas involved and lowers onto the operator DAG, adding a
+/// scan→aggregate leaf when the shape allows. Stage order is fixed: input -> joins (declaration
 /// order) -> aggregate -> having -> window -> PostFilter -> Select ->
 /// OrderBy -> Limit. Filter() conjuncts are pushed to the earliest stage
 /// whose schema covers their columns (base scan, or after some join).
@@ -260,8 +257,8 @@ class QueryBuilder {
   /// Declares the aggregate outputs (appends).
   QueryBuilder& Aggregate(std::vector<Agg> aggs);
   /// Groups the aggregates. The DAG's hash aggregation takes keys of any
-  /// type; the fused fast paths additionally require dictionary columns
-  /// with small packed domains.
+  /// type; the scan→aggregate leaf additionally requires dictionary
+  /// columns with small packed domains.
   QueryBuilder& GroupBy(std::vector<std::string> columns);
 
   /// Hash-joins the pipeline (probe side) against `build`. Key lists are

@@ -12,7 +12,7 @@ TempTupleStore::TempTupleStore(size_t width, SpillArena* arena)
 
 TempTupleStore::~TempTupleStore() {
   for (Chunk& c : chunks_) {
-    if (!c.data.empty()) arena_->Sub(c.data.size() * sizeof(uint64_t));
+    if (c.data != nullptr) arena_->Sub(chunk_bytes());
   }
   if (file_ != nullptr) std::fclose(file_);
 }
@@ -26,8 +26,8 @@ Status TempTupleStore::EnsureTail() {
   }
   chunks_.emplace_back();
   Chunk& c = chunks_.back();
-  c.data.assign(width_ * kChunkRows, 0);
-  arena_->Add(c.data.size() * sizeof(uint64_t));
+  c.data = std::make_unique_for_overwrite<uint64_t[]>(width_ * kChunkRows);
+  arena_->Add(chunk_bytes());
   tail_rows_ = 0;
   return Status::OK();
 }
@@ -35,7 +35,7 @@ Status TempTupleStore::EnsureTail() {
 Status TempTupleStore::Append(const uint64_t* row) {
   ANKER_CHECK_MSG(!sealed_, "Append after Finish");
   ANKER_RETURN_IF_ERROR(EnsureTail());
-  uint64_t* base = chunks_.back().data.data();
+  uint64_t* base = chunks_.back().data.get();
   for (size_t c = 0; c < width_; ++c) {
     base[c * kChunkRows + tail_rows_] = row[c];
   }
@@ -49,7 +49,7 @@ Status TempTupleStore::AppendGather(const uint64_t* const* cols,
                                     const uint16_t* src, size_t r) {
   ANKER_CHECK_MSG(!sealed_, "Append after Finish");
   ANKER_RETURN_IF_ERROR(EnsureTail());
-  uint64_t* base = chunks_.back().data.data();
+  uint64_t* base = chunks_.back().data.get();
   for (size_t c = 0; c < width_; ++c) {
     base[c * kChunkRows + tail_rows_] = cols[src[c]][r];
   }
@@ -60,7 +60,7 @@ Status TempTupleStore::AppendGather(const uint64_t* const* cols,
 }
 
 Status TempTupleStore::SpillChunk(Chunk* chunk) {
-  if (chunk->data.empty()) return Status::OK();  // Already spilled.
+  if (chunk->data == nullptr) return Status::OK();  // Already spilled.
   if (file_ == nullptr) {
     file_ = std::tmpfile();
     if (file_ == nullptr) {
@@ -75,17 +75,16 @@ Status TempTupleStore::SpillChunk(Chunk* chunk) {
     return Status::IoError("seek failed on tuple-store spill file");
   }
   for (size_t c = 0; c < width_; ++c) {
-    const uint64_t* col = chunk->data.data() + c * kChunkRows;
+    const uint64_t* col = chunk->data.get() + c * kChunkRows;
     if (std::fwrite(col, 1, bytes_per_col, file_) != bytes_per_col) {
       return Status::IoError("short write to tuple-store spill file");
     }
   }
   file_bytes_ += static_cast<long>(width_ * bytes_per_col);
-  arena_->Sub(chunk->data.size() * sizeof(uint64_t));
+  arena_->Sub(chunk_bytes());
   arena_->spilled_chunks += 1;
   arena_->spilled_bytes += width_ * bytes_per_col;
-  chunk->data.clear();
-  chunk->data.shrink_to_fit();
+  chunk->data.reset();
   return Status::OK();
 }
 
@@ -109,9 +108,9 @@ Status TempTupleStore::ReadSlice(size_t chunk, size_t row0, size_t n,
                                  uint64_t* dst) const {
   const Chunk& c = chunks_[chunk];
   ANKER_CHECK(row0 + n <= c.rows);
-  if (!c.data.empty()) {
+  if (c.data != nullptr) {
     for (size_t col = 0; col < width_; ++col) {
-      std::memcpy(dst + col * n, c.data.data() + col * kChunkRows + row0,
+      std::memcpy(dst + col * n, c.data.get() + col * kChunkRows + row0,
                   n * sizeof(uint64_t));
     }
     return Status::OK();
@@ -139,9 +138,9 @@ Status TempTupleStore::ForEachChunk(
   for (size_t i = 0; i < chunks_.size(); ++i) {
     const Chunk& c = chunks_[i];
     if (c.rows == 0) continue;
-    if (!c.data.empty()) {
+    if (c.data != nullptr) {
       for (size_t col = 0; col < width_; ++col) {
-        col_ptrs[col] = c.data.data() + col * kChunkRows;
+        col_ptrs[col] = c.data.get() + col * kChunkRows;
       }
       ANKER_RETURN_IF_ERROR(fn(col_ptrs.data(), c.rows));
     } else {

@@ -112,11 +112,16 @@ class TempTupleStore {
   friend class SliceReader;
 
   struct Chunk {
-    std::vector<uint64_t> data;  ///< Column-major; empty when spilled.
+    /// Column-major, kChunkRows per column; null when spilled. Slots past
+    /// `rows` stay uninitialized: nothing reads them.
+    std::unique_ptr<uint64_t[]> data;
     long file_offset = -1;       ///< Offset in `file_` when spilled.
     size_t rows = 0;
   };
 
+  size_t chunk_bytes() const {
+    return width_ * kChunkRows * sizeof(uint64_t);
+  }
   Status SpillChunk(Chunk* chunk);
   Status EnsureTail();
   /// Reads rows [row0, row0+n) of `chunk`, column-major with stride n,

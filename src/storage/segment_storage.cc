@@ -23,7 +23,6 @@ ColumnSegments::ColumnSegments(snapshot::SnapshotableBuffer* buffer,
       versions_(versions),
       latch_(latch),
       num_rows_(num_rows),
-      segment_rows_(segment_rows),
       segment_shift_(ShiftFor(segment_rows)),
       type_(type),
       store_(store),

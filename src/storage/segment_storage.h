@@ -111,8 +111,6 @@ class SegmentStorage {
 
   virtual uint64_t resident_bytes() const = 0;
   virtual uint64_t cold_bytes() const = 0;
-  virtual size_t num_segments() const = 0;
-  virtual size_t segment_rows() const = 0;
 };
 
 /// The tiered implementation. Concurrency design, in one place:
@@ -159,8 +157,6 @@ class ColumnSegments : public SegmentStorage {
   void AppendLiveExtents(std::unordered_set<uint64_t>* keep) const override;
   uint64_t resident_bytes() const override;
   uint64_t cold_bytes() const override;
-  size_t num_segments() const override { return segments_.size(); }
-  size_t segment_rows() const override { return segment_rows_; }
 
  private:
   enum State : uint8_t { kResident = 0, kCold = 1 };
@@ -210,7 +206,6 @@ class ColumnSegments : public SegmentStorage {
   mvcc::VersionStore* versions_;
   Latch* latch_;
   size_t num_rows_;
-  size_t segment_rows_;
   unsigned segment_shift_;
   ValueType type_;
   ExtentStore* store_;

@@ -112,9 +112,4 @@ Status MapRegion::PopulateRead() {
   return Status::OK();
 }
 
-void MapRegion::Release() {
-  addr_ = nullptr;
-  size_ = 0;
-}
-
 }  // namespace anker::vm

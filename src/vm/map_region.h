@@ -66,10 +66,6 @@ class MapRegion {
   size_t size() const { return size_; }
   bool valid() const { return addr_ != nullptr; }
 
-  /// Releases ownership without unmapping (e.g. after a MAP_FIXED replaced
-  /// the area page by page).
-  void Release();
-
  private:
   MapRegion(void* addr, size_t size) : addr_(addr), size_(size) {}
 

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
+#include "common/thread_pool.h"
 #include "engine/executor.h"
+#include "query/dag.h"
 #include "query/query.h"
 
 namespace anker::query {
@@ -82,7 +85,7 @@ TEST(DagEdgeTest, EmptyBuildSideJoins) {
                                  Sum(Col("price")).As("total")})
                      .Build();
     ASSERT_TRUE(query.ok()) << query.status().ToString();
-    EXPECT_EQ(query.value().strategy(), ExecStrategy::kDag);
+    EXPECT_FALSE(query.value().plan().dag->leaf.present);
     auto result = fx.db->Run(query.value(), Params());
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     switch (type) {
@@ -166,6 +169,118 @@ TEST(DagEdgeTest, UnmatchedKeysAcrossJoinTypes) {
     if (row % 100 < 50) factor_sum += 2.0 + static_cast<double>(row % 100 % 7);
   }
   EXPECT_NEAR(outer_result.value().Value("factor_sum"), factor_sum, 1e-9);
+}
+
+TEST(DagEdgeTest, FilterSpanningBothJoinSidesRunsAfterTheJoin) {
+  JoinDb fx;
+  // price (probe) < factor (build): no scan covers the conjunct, so it
+  // lands on the join whose output first has both columns.
+  auto pushed = Query::On(fx.events)
+                    .Join(JoinInput(fx.dims), JoinType::kInner, {"id"},
+                          {"key"})
+                    .Filter(Col("price") < Col("factor"))
+                    .Select({{"id", ""}, {"price", ""}, {"factor", ""}})
+                    .Build();
+  ASSERT_TRUE(pushed.ok()) << pushed.status().ToString();
+  const DagPlan& dag = *pushed.value().plan().dag;
+  ASSERT_EQ(dag.joins.size(), 1u);
+  EXPECT_EQ(dag.joins[0].post_filters.size(), 1u);
+  EXPECT_TRUE(dag.scan.preds.empty() && dag.scan.generic_preds.empty());
+
+  auto post = Query::On(fx.events)
+                  .Join(JoinInput(fx.dims), JoinType::kInner, {"id"},
+                        {"key"})
+                  .PostFilter(Col("price") < Col("factor"))
+                  .Select({{"id", ""}, {"price", ""}, {"factor", ""}})
+                  .Build();
+  ASSERT_TRUE(post.ok()) << post.status().ToString();
+
+  auto pushed_result = fx.db->Run(pushed.value(), Params());
+  auto post_result = fx.db->Run(post.value(), Params());
+  ASSERT_TRUE(pushed_result.ok()) << pushed_result.status().ToString();
+  ASSERT_TRUE(post_result.ok()) << post_result.status().ToString();
+  size_t expected = 0;
+  for (size_t row = 0; row < fx.num_rows; ++row) {
+    const size_t id = row % 100;
+    if (id < 50 && JoinDb::Price(row) < 2.0 + static_cast<double>(id % 7)) {
+      ++expected;
+    }
+  }
+  ASSERT_EQ(pushed_result.value().rows.size(), expected);
+  ASSERT_EQ(post_result.value().rows.size(), expected);
+  for (size_t r = 0; r < expected; ++r) {
+    EXPECT_EQ(pushed_result.value().rows[r].keys,
+              post_result.value().rows[r].keys);
+    EXPECT_EQ(pushed_result.value().rows[r].values,
+              post_result.value().rows[r].values);
+  }
+}
+
+TEST(DagEdgeTest, BareLimitKeepsScanOrderAcrossScanThreads) {
+  JoinDb fx;
+  // A Limit without OrderBy keeps the first n rows of the scan; the scan
+  // reassembles block order, so a 4-thread scan of single-block morsels
+  // returns the same rows.
+  auto query = Query::On(fx.events)
+                   .Select({{"id", ""}, {"price", ""}})
+                   .Limit(5)
+                   .Build();
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  ThreadPool pool(4);
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    engine::ScanOptions scan_options;
+    scan_options.pool = &pool;
+    scan_options.max_threads = threads;
+    scan_options.morsel_blocks = 1;
+    ExecOptions options;
+    options.scan_options = &scan_options;
+    auto result = fx.db->Run(query.value(), Params(), options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result.value().rows.size(), 5u) << threads << " threads";
+    for (size_t r = 0; r < 5; ++r) {
+      EXPECT_EQ(result.value().rows[r].keys[0], r) << threads << " threads";
+      EXPECT_EQ(result.value().rows[r].values[0], JoinDb::Price(r))
+          << threads << " threads";
+    }
+  }
+}
+
+TEST(DagEdgeTest, WindowRowNumberCountAndMinMatchReference) {
+  JoinDb fx;
+  auto query = Query::On(fx.events)
+                   .Window({WinRowNumber("rn"), WinCount("cnt"),
+                            WinMin(Col("price"), "min_price")},
+                           {"tag"}, {{"price", false}})
+                   .Select({{"tag", ""}, {"price", ""}, {"rn", ""},
+                            {"cnt", ""}, {"min_price", ""}})
+                   .Build();
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  auto result = fx.db->Run(query.value(), Params());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result.value().rows.size(), fx.num_rows);
+
+  // Per tag: partition size and minimum price.
+  std::map<uint64_t, std::pair<double, double>> expected;
+  for (size_t row = 0; row < fx.num_rows; ++row) {
+    auto [it, fresh] = expected.try_emplace(row % 4, 0.0, 1e300);
+    it->second.first += 1.0;
+    it->second.second = std::min(it->second.second, JoinDb::Price(row));
+  }
+  // Rows arrive partition by partition, ordered by price within one.
+  double rn = 0;
+  for (size_t r = 0; r < result.value().rows.size(); ++r) {
+    const QueryResult::Row& row = result.value().rows[r];
+    const bool starts = r == 0 || result.value().rows[r - 1].keys[0] !=
+                                      row.keys[0];
+    rn = starts ? 1.0 : rn + 1.0;
+    if (!starts) {
+      EXPECT_LE(result.value().rows[r - 1].values[0], row.values[0]);
+    }
+    const auto& [count, min_price] = expected.at(row.keys[0]);
+    EXPECT_EQ(row.values[1], rn);         // rn
+    EXPECT_EQ(row.values[2], count);      // cnt
+    EXPECT_EQ(row.values[3], min_price);  // min_price
+  }
 }
 
 TEST(DagEdgeTest, TopKDegenerateLimits) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "query/dag.h"
 #include "query/query.h"
 
 namespace anker::query {
@@ -126,7 +127,7 @@ TEST(QueryBuildTest, GroupByNonDictFallsBackToDag) {
                    .GroupBy({"price"})
                    .Build();
   ASSERT_TRUE(query.ok());
-  EXPECT_EQ(query.value().strategy(), ExecStrategy::kDag);
+  EXPECT_FALSE(query.value().plan().dag->leaf.present);
 }
 
 TEST(QueryBuildTest, DuplicateAggregateNamesAreRejected) {
@@ -165,22 +166,26 @@ TEST(QueryBuildTest, MenuShapesPickTheFusedKernel) {
                    .GroupBy({"tag"})
                    .Build();
   ASSERT_TRUE(fused.ok());
-  EXPECT_EQ(fused.value().strategy(), ExecStrategy::kFusedGrouped);
+  EXPECT_NE(fused.value().plan().dag->leaf.fused, nullptr);
 
-  // (price + qty) is outside the fused form menu -> grouped fallback.
+  // (price + qty) is outside the fused form menu -> grouped vectorized
+  // aggregate.
   auto generic = Query::On(table.get())
                      .Aggregate({Sum(Col("price") + Col("qty")).As("s")})
                      .GroupBy({"tag"})
                      .Build();
   ASSERT_TRUE(generic.ok());
-  EXPECT_EQ(generic.value().strategy(), ExecStrategy::kGroupedVec);
+  const DagLeaf& grouped = generic.value().plan().dag->leaf;
+  EXPECT_TRUE(grouped.present && grouped.key.grouped() &&
+              grouped.fused == nullptr);
 
-  // Ungrouped queries take the vectorized selection path.
+  // Ungrouped queries take the ungrouped vectorized aggregate.
   auto ungrouped = Query::On(table.get())
                        .Aggregate({Sum(Col("price")).As("s")})
                        .Build();
   ASSERT_TRUE(ungrouped.ok());
-  EXPECT_EQ(ungrouped.value().strategy(), ExecStrategy::kVectorized);
+  const DagLeaf& flat = ungrouped.value().plan().dag->leaf;
+  EXPECT_TRUE(flat.present && !flat.key.grouped());
 }
 
 }  // namespace

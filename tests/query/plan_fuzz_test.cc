@@ -18,6 +18,7 @@
 #include <string>
 
 #include "common/rng.h"
+#include "query/dag.h"
 #include "query/query.h"
 #include "query/serialize.h"
 
@@ -298,8 +299,8 @@ TEST(PlanFuzzTest, StrategiesAndWireAgreeOnEveryPlan) {
     ASSERT_TRUE(dag.ok())
         << "plan " << iter << ": " << dag.status().ToString();
     EXPECT_EQ(Digest(dag.value(), ordered), base_digest)
-        << "plan " << iter << " diverges between strategy "
-        << static_cast<int>(compiled.value().strategy()) << " and dag";
+        << "plan " << iter << " diverges between its leaf ("
+        << compiled.value().plan().dag->leaf.present << ") and dag";
 
     // (c) encode -> decode -> recompile -> run, as the server would.
     std::string encoded;
@@ -311,7 +312,11 @@ TEST(PlanFuzzTest, StrategiesAndWireAgreeOnEveryPlan) {
     auto recompiled = CompileWireQuery(decoded, fx.db->catalog());
     ASSERT_TRUE(recompiled.ok())
         << "plan " << iter << ": " << recompiled.status().ToString();
-    EXPECT_EQ(recompiled.value().strategy(), compiled.value().strategy())
+    EXPECT_EQ(recompiled.value().plan().dag->leaf.present,
+              compiled.value().plan().dag->leaf.present)
+        << "plan " << iter;
+    EXPECT_EQ(recompiled.value().plan().dag->leaf.fused,
+              compiled.value().plan().dag->leaf.fused)
         << "plan " << iter;
     auto wired = fx.db->Run(recompiled.value(), Params());
     ASSERT_TRUE(wired.ok())

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "query/dag.h"
+
 namespace anker::query {
 namespace {
 
@@ -63,20 +65,36 @@ struct SensorDb {
 
 TEST(QueryExecTest, UngroupedSumCountMatchesReference) {
   SensorDb fx;
-  auto query = Query::On(fx.table)
-                   .Filter(Col("day") < Param("cutoff", ExprType::kDate))
-                   .Aggregate({Sum(Col("temperature")).As("sum_temp"),
-                               Count().As("n")})
-                   .Build();
+  const Expr t = Col("temperature");
+  const Expr h = Col("humidity");
+  auto query =
+      Query::On(fx.table)
+          .Filter(Col("day") < Param("cutoff", ExprType::kDate))
+          .Aggregate({Sum(t).As("sum_temp"), Count().As("n"),
+                      Sum(t * (F64(1.0) - h)).As("sum_disc"),
+                      Sum(t * (F64(1.0) - h) * (F64(1.0) + h))
+                          .As("sum_charge"),
+                      Sum(t + h).As("sum_expr"), Min(t - h).As("min_expr"),
+                      Max(t - h).As("max_expr")})
+          .Build();
   ASSERT_TRUE(query.ok());
   auto result = fx.db->Run(query.value(), Params().SetDate("cutoff", 40));
   ASSERT_TRUE(result.ok());
 
   double expected_sum = 0;
+  double expected_disc = 0, expected_charge = 0, expected_expr = 0;
+  double expected_min = 1e300, expected_max = -1e300;
   uint64_t expected_n = 0;
   for (size_t row = 0; row < fx.num_rows; ++row) {
     if (fx.Day(row) >= 40) continue;
-    expected_sum += fx.Temperature(row);
+    const double temp = fx.Temperature(row);
+    const double hum = 0.3 + 0.01 * static_cast<double>(row % 40);
+    expected_sum += temp;
+    expected_disc += temp * (1.0 - hum);
+    expected_charge += temp * (1.0 - hum) * (1.0 + hum);
+    expected_expr += temp + hum;
+    expected_min = std::min(expected_min, temp - hum);
+    expected_max = std::max(expected_max, temp - hum);
     ++expected_n;
   }
   EXPECT_NEAR(result.value().Value("sum_temp"), expected_sum,
@@ -84,6 +102,16 @@ TEST(QueryExecTest, UngroupedSumCountMatchesReference) {
   EXPECT_DOUBLE_EQ(result.value().Value("n"),
                    static_cast<double>(expected_n));
   EXPECT_EQ(result.value().rows_scanned, fx.num_rows);
+  // The two three-operand sum forms, and non-menu inputs evaluated by the
+  // scalar interpreter, against the same row loop.
+  EXPECT_NEAR(result.value().Value("sum_disc"), expected_disc,
+              std::abs(expected_disc) * 1e-12);
+  EXPECT_NEAR(result.value().Value("sum_charge"), expected_charge,
+              std::abs(expected_charge) * 1e-12);
+  EXPECT_NEAR(result.value().Value("sum_expr"), expected_expr,
+              std::abs(expected_expr) * 1e-12);
+  EXPECT_DOUBLE_EQ(result.value().Value("min_expr"), expected_min);
+  EXPECT_DOUBLE_EQ(result.value().Value("max_expr"), expected_max);
 }
 
 TEST(QueryExecTest, GroupedFusedMatchesReference) {
@@ -97,7 +125,7 @@ TEST(QueryExecTest, GroupedFusedMatchesReference) {
           .GroupBy({"station"})
           .Build();
   ASSERT_TRUE(query.ok());
-  EXPECT_EQ(query.value().strategy(), ExecStrategy::kFusedGrouped);
+  EXPECT_NE(query.value().plan().dag->leaf.fused, nullptr);
   auto result = fx.db->Run(query.value(), Params());
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.value().rows.size(), 3u);
@@ -124,14 +152,16 @@ TEST(QueryExecTest, GroupedFusedMatchesReference) {
 TEST(QueryExecTest, AvgAndExprAggregatesUseHiddenCount) {
   SensorDb fx;
   // (temperature + humidity) is outside the fused menu: exercises the
-  // temp program and the grouped fallback, plus Avg's hidden count.
+  // scalar-interpreted input of the grouped vectorized aggregate, plus
+  // Avg's hidden count.
   auto query = Query::On(fx.table)
                    .Aggregate({Avg(Col("temperature") + Col("humidity"))
                                    .As("avg_combined")})
                    .GroupBy({"station"})
                    .Build();
   ASSERT_TRUE(query.ok());
-  EXPECT_EQ(query.value().strategy(), ExecStrategy::kGroupedVec);
+  const DagLeaf& leaf = query.value().plan().dag->leaf;
+  EXPECT_TRUE(leaf.present && leaf.key.grouped() && leaf.fused == nullptr);
   auto result = fx.db->Run(query.value(), Params());
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.value().rows.size(), 3u);
@@ -227,6 +257,26 @@ TEST(QueryExecTest, EmptySelectionYieldsZeroRowUngrouped) {
   EXPECT_DOUBLE_EQ(result.value().Value("n"), 0.0);
 }
 
+TEST(QueryExecTest, MixedConstantArithmeticFoldsIntoABound) {
+  // double * double + int64 folds to one double bound at bind time.
+  SensorDb fx;
+  auto query =
+      Query::On(fx.table)
+          .Filter(Col("temperature") <
+                  Param("base", ExprType::kDouble) * F64(2.0) + I64(1))
+          .Aggregate({Count().As("n")})
+          .Build();
+  ASSERT_TRUE(query.ok());
+  auto result =
+      fx.db->Run(query.value(), Params().SetDouble("base", 12.0));
+  ASSERT_TRUE(result.ok());
+  double expected = 0;
+  for (size_t row = 0; row < fx.num_rows; ++row) {
+    if (fx.Temperature(row) < 25.0) expected += 1.0;
+  }
+  EXPECT_DOUBLE_EQ(result.value().Value("n"), expected);
+}
+
 TEST(QueryExecTest, EmptyGroupsAreDropped) {
   SensorDb fx;
   auto query = Query::On(fx.table)
@@ -316,7 +366,7 @@ TEST(QueryExecTest, GroupDomainBudgetIsEnforced) {
   // Domains past the packed-group budget leave the fused fast paths and
   // compile onto the DAG's hash aggregation instead.
   ASSERT_TRUE(query.ok());
-  EXPECT_EQ(query.value().strategy(), ExecStrategy::kDag);
+  EXPECT_FALSE(query.value().plan().dag->leaf.present);
   auto result = fx.db->Run(query.value(), Params());
   ASSERT_TRUE(result.ok());
   // All 16 rows carry dictionary code 0 in both key columns.
@@ -383,6 +433,33 @@ TEST(QueryExecTest, JoinBuildValidatesShapes) {
   EXPECT_EQ(ambiguous.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(QueryExecTest, SubQueryInputReaggregates) {
+  // Query::On(sub) pipelines over another query's rows: re-aggregating
+  // the per-station sums must give the table totals.
+  SensorDb fx;
+  auto per_station = Query::On(fx.table)
+                         .Aggregate({Sum(Col("temperature")).As("total"),
+                                     Count().As("n")})
+                         .GroupBy({"station"})
+                         .Build();
+  ASSERT_TRUE(per_station.ok());
+  auto query = Query::On(per_station.value())
+                   .Filter(Col("n") > F64(0.0))
+                   .Aggregate({Sum(Col("total")).As("grand"),
+                               Sum(Col("n")).As("rows"), Count().As("groups")})
+                   .Build();
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  auto result = fx.db->Run(query.value(), Params());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  double total = 0;
+  for (size_t row = 0; row < fx.num_rows; ++row) total += fx.Temperature(row);
+  EXPECT_NEAR(result.value().Value("grand"), total, total * 1e-12);
+  EXPECT_DOUBLE_EQ(result.value().Value("rows"),
+                   static_cast<double>(fx.num_rows));
+  EXPECT_DOUBLE_EQ(result.value().Value("groups"), 3.0);
+}
+
 TEST(QueryExecTest, InnerJoinWithResidualMatchesReference) {
   SensorDb fx;
   storage::Table* limits = MakeLimits(&fx);
@@ -393,7 +470,7 @@ TEST(QueryExecTest, InnerJoinWithResidualMatchesReference) {
                                Count().As("n")})
                    .Build();
   ASSERT_TRUE(query.ok());
-  EXPECT_EQ(query.value().strategy(), ExecStrategy::kDag);
+  EXPECT_FALSE(query.value().plan().dag->leaf.present);
   auto result = fx.db->Run(query.value(), Params());
   ASSERT_TRUE(result.ok());
 

@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "engine/database.h"
+#include "query/dag.h"
 #include "storage/value.h"
 
 namespace anker::query {
@@ -217,7 +218,7 @@ TEST_F(WireQueryTest, DagWireQueryRoundTripsAndRecompiles) {
   ASSERT_TRUE(local.ok());
   auto remote = CompileWireQuery(decoded, db_->catalog());
   ASSERT_TRUE(remote.ok());
-  EXPECT_EQ(remote.value().plan().strategy, ExecStrategy::kDag);
+  EXPECT_FALSE(remote.value().plan().dag->leaf.present);
 
   auto local_result = db_->Run(local.value(), Params());
   auto remote_result = db_->Run(remote.value(), Params());
@@ -289,6 +290,31 @@ TEST_F(WireQueryTest, SubQueryBuildSideRoundTripsAndRecompiles) {
     EXPECT_EQ(
         storage::EncodeDouble(local_result.value().rows[0].values[v]),
         storage::EncodeDouble(remote_result.value().rows[0].values[v]));
+  }
+}
+
+TEST_F(WireQueryTest, GroupedSumCountRunsTheFusedLeaf) {
+  // The routed aggregate's shape: SUM(x), COUNT(*) GROUP BY a dictionary.
+  WireQuery wire;
+  wire.table = "events";
+  wire.aggs = {Sum(Col("price")).As("s"), Count().As("n")};
+  wire.group_by = {"tag"};
+  auto compiled = CompileWireQuery(wire, db_->catalog());
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  EXPECT_NE(compiled.value().plan().dag->leaf.fused, nullptr);
+
+  auto result = db_->Run(compiled.value(), Params());
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result.value().rows.size(), 2u);
+  const uint32_t even = table_->GetDictionary("tag")->Lookup("even").value();
+  for (const QueryResult::Row& row : result.value().rows) {
+    const size_t parity = row.keys[0] == even ? 0 : 1;
+    double sum = 0;
+    for (size_t r = parity; r < 256; r += 2) {
+      sum += 1.5 * static_cast<double>(r);
+    }
+    EXPECT_DOUBLE_EQ(row.values[0], sum);
+    EXPECT_DOUBLE_EQ(row.values[1], 128.0);
   }
 }
 

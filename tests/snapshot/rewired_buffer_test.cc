@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "vm/fault_router.h"
 #include "vm/page.h"
 #include "vm/proc_maps.h"
 
@@ -91,6 +92,22 @@ TEST(RewiredBufferTest, PoolGrowsWithCows) {
   b->StoreU64(0, 1);
   b->StoreU64(kPageSize, 1);
   EXPECT_EQ(b->stats().pool_pages, before + 2);
+}
+
+TEST(RewiredBufferTest, DestructionUnregistersItsFaultRange) {
+  // The fault router's range table has a fixed number of slots, so a
+  // buffer that left its registration behind would eventually exhaust it.
+  vm::FaultRouter& router = vm::FaultRouter::Instance();
+  const size_t before = router.NumRanges();
+  {
+    auto buffer = RewiredBuffer::Create(4 * kPageSize);
+    ASSERT_TRUE(buffer.ok());
+    EXPECT_EQ(router.NumRanges(), before + 1);
+    auto snap = buffer.value()->TakeSnapshot();
+    ASSERT_TRUE(snap.ok());
+    buffer.value()->StoreU64(0, 1);  // One copy-on-write fault.
+  }
+  EXPECT_EQ(router.NumRanges(), before);
 }
 
 }  // namespace

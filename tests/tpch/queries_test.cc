@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "query/dag.h"
 #include "tpch/schema.h"
 
 namespace anker::tpch {
@@ -43,6 +44,27 @@ OlapParams FixedParams() {
   params.q17_brand_code = 3;
   params.q17_container_code = 7;
   return params;
+}
+
+TEST(QueriesTest, PlansRunTheirLeafKernels) {
+  LoadedDb live(txn::ProcessingMode::kHomogeneousSerializable);
+  auto leaf = [&](OlapKind kind) -> const query::DagLeaf& {
+    return live.queries->QueryFor(kind).plan().dag->leaf;
+  };
+  // Q1 and Q4: grouped aggregates on the fused kernels.
+  for (OlapKind kind : {OlapKind::kQ1, OlapKind::kQ4}) {
+    EXPECT_TRUE(leaf(kind).present) << OlapKindName(kind);
+    EXPECT_NE(leaf(kind).fused, nullptr) << OlapKindName(kind);
+  }
+  // Q6 and the table scans: the ungrouped vectorized aggregate.
+  for (OlapKind kind : {OlapKind::kQ6, OlapKind::kScanLineitem,
+                        OlapKind::kScanOrders, OlapKind::kScanPart}) {
+    EXPECT_TRUE(leaf(kind).present) << OlapKindName(kind);
+    EXPECT_FALSE(leaf(kind).key.grouped()) << OlapKindName(kind);
+    EXPECT_EQ(leaf(kind).fused, nullptr) << OlapKindName(kind);
+  }
+  // Q17 joins: no leaf.
+  EXPECT_FALSE(leaf(OlapKind::kQ17).present);
 }
 
 TEST(QueriesTest, AllQueriesProduceResults) {

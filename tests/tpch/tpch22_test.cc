@@ -16,6 +16,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "query/dag.h"
 #include "query/serialize.h"
 #include "storage/value.h"
 #include "tpch/datagen.h"
@@ -888,6 +889,17 @@ TEST(Tpch22Test, WirePathReproducesInProcessDigests) {
               Tpch22::RawDigest(wire.value(), ordered))
         << "Q" << q;
   }
+  in.db->Stop();
+}
+
+TEST(Tpch22Test, Q1RunsTheGroupedVectorizedLeaf) {
+  // Q1's operand pattern (Avg(l_quantity) among its sums) is not in the
+  // fused registry, so it runs the grouped vectorized aggregate.
+  Instance in = MakeInstance(Grid()[0]);
+  const query::DagLeaf& leaf = in.queries->Compiled(1).plan().dag->leaf;
+  EXPECT_TRUE(leaf.present);
+  EXPECT_TRUE(leaf.key.grouped());
+  EXPECT_EQ(leaf.fused, nullptr);
   in.db->Stop();
 }
 
