@@ -12,9 +12,11 @@ in-memory re-simulation.
 
 Most iterations additionally run the tiered cold store (tiny
 cold_budget_bytes plus a spillable archive table) and cycle armed fault
-points through extent publication (extent.publish.pre/post) and the
-checkpoint manifest flip (ckpt.publish.pre/post), so kills land inside
-the extent fsync→rename protocol and the incremental-checkpoint publish;
+points through extent publication (extent.publish.pre/post), the
+checkpoint manifest flip (ckpt.publish.pre/post) and the group-commit
+flush (wal.flush.post), so kills land inside the extent fsync→rename
+protocol, the incremental-checkpoint publish and between a durable
+write and its acknowledgement;
 each cold iteration also asserts recovery pruned every orphaned .tmp
 extent.
 
@@ -38,17 +40,21 @@ import time
 
 from harness_common import sigkill, wait_for_line
 
-# Extent-era fault shapes, cycled across the cold-tier iterations. The
+# Fault shapes, cycled across the cold-tier iterations. The
 # probabilities keep the bootstrap phase (which publishes a dozen-plus
 # extents while spilling the archive table) likely to survive, so kills
 # land across both bootstrap and steady-state extent publication, plus
-# the incremental-checkpoint manifest flip.
+# the incremental-checkpoint manifest flip. wal.flush.post dies after a
+# commit batch is on disk but before any of its commits is acknowledged;
+# at 0.005 per flush the bootstrap (a handful of flushes) survives and the
+# kill lands among steady-state group commits.
 FAULT_SHAPES = [
     None,
     "extent.publish.pre:kill:0.05",
     "extent.publish.post:kill:0.05",
     "ckpt.publish.pre:kill:0.5",
     "ckpt.publish.post:kill:0.5",
+    "wal.flush.post:kill:0.005",
 ]
 
 

@@ -14,8 +14,8 @@ namespace {
 
 /// One spillable segment, tagged with its column.
 struct Candidate {
-  storage::SegmentStorage* segments = nullptr;
-  storage::SegmentStorage::SpillCandidate c;
+  storage::ColumnSegments* segments = nullptr;
+  storage::ColumnSegments::SpillCandidate c;
 };
 
 }  // namespace
@@ -26,7 +26,8 @@ Status Database::EnsureExtentStore() {
     return Status::InvalidArgument(
         "the extent store needs config.data_dir");
   }
-  auto store = storage::ExtentStore::Open(config_.data_dir + "/extents");
+  auto store = storage::ExtentStore::Open(
+      storage::ExtentStore::DirIn(config_.data_dir));
   if (!store.ok()) return store.status();
   extent_store_ = store.TakeValue();
   return Status::OK();
@@ -52,10 +53,10 @@ Status Database::SpillToBudgetLocked(uint64_t budget_bytes,
     std::vector<Candidate> candidates;
     uint64_t resident = 0;
     for (storage::Column* column : catalog_.AllColumns()) {
-      storage::SegmentStorage* segments = column->segments();
+      storage::ColumnSegments* segments = column->segments();
       if (segments == nullptr) continue;
       resident += segments->resident_bytes();
-      std::vector<storage::SegmentStorage::SpillCandidate> local;
+      std::vector<storage::ColumnSegments::SpillCandidate> local;
       segments->CollectSpillCandidates(&local);
       for (const auto& c : local) candidates.push_back({segments, c});
     }
@@ -102,7 +103,7 @@ ColdTierStats Database::cold_stats() const {
   ColdTierStats stats;
   if (extent_store_ == nullptr) return stats;
   for (storage::Column* column : catalog_.AllColumns()) {
-    const storage::SegmentStorage* segments = column->segments();
+    const storage::ColumnSegments* segments = column->segments();
     if (segments == nullptr) continue;
     stats.resident_bytes += segments->resident_bytes();
     stats.cold_bytes += segments->cold_bytes();

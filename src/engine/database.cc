@@ -2,6 +2,7 @@
 
 #include <thread>
 
+#include "wal/checkpoint.h"
 #include "wal/io_util.h"
 
 namespace anker::engine {
@@ -90,8 +91,7 @@ Result<std::unique_ptr<Database>> Database::Create(DatabaseConfig config) {
   // Create are user input.
   std::unique_ptr<Database> db(new Database(std::move(config), OpenTag{}));
   if (db->config_.durability != wal::DurabilityMode::kOff) {
-    if (wal::PathExists(db->config_.data_dir + "/CURRENT") ||
-        wal::PathExists(db->wal_dir())) {
+    if (wal::HasDurableState(db->config_.data_dir)) {
       return Status::AlreadyExists(
           "data_dir already holds durable state; reopen it with "
           "Database::Open");
@@ -108,12 +108,15 @@ Database::Database(DatabaseConfig config)
     // must go through Open(), which replays it — silently truncating an
     // old log here would be data loss.
     ANKER_CHECK_MSG(
-        !wal::PathExists(config_.data_dir + "/CURRENT") &&
-            !wal::PathExists(wal_dir()),
+        !wal::HasDurableState(config_.data_dir),
         "data_dir already holds durable state; reopen it with Database::Open");
     const Status started = StartWal(1);
     ANKER_CHECK_MSG(started.ok(), started.message().c_str());
   }
+}
+
+std::string Database::wal_dir() const {
+  return wal::WalDirOf(config_.data_dir);
 }
 
 Database::Database(DatabaseConfig config, OpenTag)

@@ -243,7 +243,7 @@ class Database {
 
   /// Directory the WAL segments live in; the replication service points
   /// its per-subscriber WalTailers here.
-  std::string wal_dir() const { return config_.data_dir + "/wal"; }
+  std::string wal_dir() const;
 
   // --- Replication (WAL shipping) ---------------------------------------
   //

@@ -547,7 +547,7 @@ Result<CheckpointResult> Database::Checkpoint() {
     for (uint32_t j = 0; s.ok() && j < table->num_columns(); ++j) {
       const storage::Column* column = table->GetColumnAt(j);
       const ColumnReader reader = ctx->Reader(column);
-      storage::SegmentStorage* segments = column->segments();
+      storage::ColumnSegments* segments = column->segments();
       const storage::ColumnSnapshot* snap =
           ctx->handle_ != nullptr ? ctx->handle_->Find(column) : nullptr;
       if (segments != nullptr && snap != nullptr && !reader.versioned()) {

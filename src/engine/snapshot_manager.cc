@@ -4,6 +4,7 @@ namespace anker::engine {
 
 const storage::ColumnSnapshot* SnapshotEpoch::Find(
     const storage::Column* column) const {
+  std::lock_guard<std::mutex> guard(columns_mutex_);
   auto it = columns_.find(column);
   return it == columns_.end() ? nullptr : &it->second;
 }
@@ -63,6 +64,7 @@ Result<std::unique_ptr<SnapshotHandle>> SnapshotManager::Acquire(
     auto snap =
         column->MaterializeSnapshot(epoch->epoch_ts(), seal_ts, min_active);
     if (!snap.ok()) return snap.status();
+    std::lock_guard<std::mutex> columns_guard(epoch->columns_mutex_);
     epoch->columns_.emplace(column, snap.TakeValue());
     ++total_materializations_;
   }

@@ -30,12 +30,19 @@ class SnapshotEpoch {
   /// Materialized snapshot of `column`, or nullptr if not yet taken.
   const storage::ColumnSnapshot* Find(const storage::Column* column) const;
 
-  size_t materialized_count() const { return columns_.size(); }
+  size_t materialized_count() const {
+    std::lock_guard<std::mutex> guard(columns_mutex_);
+    return columns_.size();
+  }
 
  private:
   friend class SnapshotManager;
 
   mvcc::Timestamp epoch_ts_;
+  /// Handle holders look columns up while a later Acquire materializes
+  /// more columns into the same epoch. Entries are never erased while the
+  /// epoch lives, so a found snapshot stays valid after the lookup.
+  mutable std::mutex columns_mutex_;
   std::map<const storage::Column*, storage::ColumnSnapshot> columns_;
   int refcount_ = 0;
 };

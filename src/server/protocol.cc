@@ -663,7 +663,8 @@ Status DecodeLogStream(std::string_view in, uint64_t* primary_durable_lsn,
 namespace {
 
 /// A checkpoint file travels as a relative path ("ckpt-12/MANIFEST",
-/// "CURRENT"). Reject anything that could escape the replica's data_dir.
+/// "extents/ext-3.ext", the CURRENT pointer). Reject anything that could
+/// escape the replica's data_dir.
 bool SafeRelativePath(const std::string& path) {
   if (path.empty() || path.size() > 4096 || path.front() == '/') return false;
   size_t begin = 0;

@@ -365,10 +365,11 @@ void EncodeLogStream(uint64_t primary_durable_lsn,
 Status DecodeLogStream(std::string_view in, uint64_t* primary_durable_lsn,
                        std::vector<StreamRecord>* records);
 
-/// kCkptChunk: one slice of one checkpoint file, in path order. `file`
-/// is a relative path under the data directory (e.g. "ckpt-12/MANIFEST"
-/// or "CURRENT"); the decoder rejects absolute paths and ".." traversal
-/// so a hostile primary cannot write outside the replica's data_dir.
+/// kCkptChunk: one slice of one checkpoint file, in transfer order.
+/// `file` is a relative path under the data directory (e.g.
+/// "ckpt-12/MANIFEST", or wal::kCurrentFileName); the decoder rejects
+/// absolute paths and ".." traversal so a hostile primary cannot write
+/// outside the replica's data_dir.
 struct CkptChunkMsg {
   std::string file;
   uint64_t offset = 0;

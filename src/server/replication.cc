@@ -7,9 +7,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 
 #include "common/fault_injector.h"
+#include "storage/extent.h"
+#include "wal/checkpoint.h"
 #include "wal/io_util.h"
 #include "wal/wal_tail.h"
 
@@ -378,25 +379,15 @@ Status EncodeCheckpointStream(const std::string& data_dir, std::string* out) {
   if (data_dir.empty()) {
     return Status::NotSupported("server runs without a data_dir");
   }
-  std::string current;
-  Status s = wal::ReadFile(data_dir + "/CURRENT", &current);
-  if (s.IsNotFound()) {
+  // Only a checkpoint whose manifest passes its CRC is ever shipped.
+  std::string ckpt_path;
+  auto manifest = wal::CheckpointReader::ReadManifest(data_dir, &ckpt_path);
+  if (manifest.status().IsNotFound()) {
     return Status::NotFound(
         "no checkpoint published yet (CHECKPOINT_NOW first)");
   }
-  ANKER_RETURN_IF_ERROR(s);
-  std::string dir_name = current;
-  while (!dir_name.empty() &&
-         (dir_name.back() == '\n' || dir_name.back() == '\r')) {
-    dir_name.pop_back();
-  }
-  if (dir_name.empty() || dir_name.find('/') != std::string::npos) {
-    return Status::IoError("corrupt CURRENT in " + data_dir);
-  }
-
-  std::vector<std::string> names;
-  ANKER_RETURN_IF_ERROR(wal::ListDir(data_dir + "/" + dir_name, &names));
-  std::sort(names.begin(), names.end());
+  ANKER_RETURN_IF_ERROR(manifest.status());
+  const std::string dir_name = ckpt_path.substr(ckpt_path.rfind('/') + 1);
 
   // Build into a scratch buffer: a file vanishing mid-read (pruned by a
   // newer checkpoint) must not leave half a transfer in `out`.
@@ -420,42 +411,33 @@ Status EncodeCheckpointStream(const std::string& data_dir, std::string* out) {
     } while (offset < contents.size());
     ++file_count;
   };
-
-  for (const std::string& name : names) {
+  // `path` lies under data_dir; it travels under its relative name.
+  const auto ship = [&](const std::string& path) -> Status {
     std::string contents;
-    const Status read =
-        wal::ReadFile(data_dir + "/" + dir_name + "/" + name, &contents);
+    const Status read = wal::ReadFile(path, &contents);
     if (!read.ok()) {
       return Status::IoError("checkpoint pruned mid-transfer; retry fetch (" +
                              read.message() + ")");
     }
-    emit_file(dir_name + "/" + name, contents);
+    emit_file(path.substr(data_dir.size() + 1), contents);
+    return Status::OK();
+  };
+
+  for (const std::string& name :
+       wal::CheckpointReader::FileNames(manifest.value())) {
+    ANKER_RETURN_IF_ERROR(ship(ckpt_path + "/" + name));
   }
-  // Cold-tier extents live outside the checkpoint directory, but the
-  // manifest may reference them; ship every published extent so the
-  // replica can resolve extent-backed columns. Extras the manifest does
-  // not reference are pruned by the replica's own next checkpoint.
-  std::vector<std::string> extent_names;
-  const std::string extents_dir = data_dir + "/extents";
-  if (wal::ListDir(extents_dir, &extent_names).ok()) {
-    std::sort(extent_names.begin(), extent_names.end());
-    for (const std::string& name : extent_names) {
-      if (name.size() >= 4 &&
-          name.compare(name.size() - 4, 4, ".tmp") == 0) {
-        continue;  // In-flight publish, never durable state.
-      }
-      std::string contents;
-      const Status read = wal::ReadFile(extents_dir + "/" + name, &contents);
-      if (!read.ok()) {
-        return Status::IoError("extent pruned mid-transfer; retry fetch (" +
-                               read.message() + ")");
-      }
-      emit_file("extents/" + name, contents);
-    }
+  // Cold-tier extents live outside the checkpoint directory; ship the
+  // ones the manifest references so the replica can resolve extent-backed
+  // columns.
+  const std::string extents_dir = storage::ExtentStore::DirIn(data_dir);
+  for (const uint64_t id : manifest.value().extents) {
+    ANKER_RETURN_IF_ERROR(
+        ship(extents_dir + "/" + storage::ExtentStore::FileName(id)));
   }
   // CURRENT travels last; the fetcher publishes it only after everything
   // else is durable, mirroring how checkpoints flip locally.
-  emit_file("CURRENT", current);
+  emit_file(wal::kCurrentFileName, dir_name);
 
   std::string payload;
   EncodeCkptDone(file_count, &payload);
@@ -468,30 +450,15 @@ Status FetchCheckpointInto(Client* client, const std::string& data_dir) {
   ANKER_RETURN_IF_ERROR(wal::EnsureDir(data_dir));
   ANKER_RETURN_IF_ERROR(client->SendOnly(OpOnly(Op::kFetchCheckpoint)));
 
-  std::string current_content;
-  std::vector<std::string> written;  // Relative paths, for the fsync pass.
-  int fd = -1;
-  std::string open_path;
-  const auto close_open = [&]() -> Status {
-    if (fd < 0) return Status::OK();
-    const Status synced = wal::SyncFd(fd);
-    ::close(fd);
-    fd = -1;
-    if (!synced.ok()) {
-      return Status::IoError("fsync failed for " + open_path);
-    }
-    return Status::OK();
-  };
-
+  // Each file is assembled from its chunks and installed whole (temp +
+  // fsync + rename + directory fsync); CURRENT waits for the end.
+  std::string current;
+  std::string contents;
   while (true) {
     auto received = client->ReceiveOne();
-    if (!received.ok()) {
-      close_open();
-      return received.status();
-    }
+    if (!received.ok()) return received.status();
     const std::string& payload = received.value();
     if (payload.empty()) {
-      close_open();
       return Status::IoError("empty frame in checkpoint stream");
     }
     const Op op = static_cast<Op>(payload[0]);
@@ -499,71 +466,33 @@ Status FetchCheckpointInto(Client* client, const std::string& data_dir) {
 
     if (op == Op::kCkptChunk) {
       CkptChunkMsg chunk;
-      const Status decoded = DecodeCkptChunk(body, &chunk);
-      if (!decoded.ok()) {
-        close_open();
-        return decoded;  // Hostile path / lying length: refuse, recover.
+      // Hostile path / lying length: refuse, recover.
+      ANKER_RETURN_IF_ERROR(DecodeCkptChunk(body, &chunk));
+      if (chunk.offset != contents.size()) {
+        return Status::IoError("checkpoint chunk out of order: " + chunk.file);
       }
-      if (chunk.file == "CURRENT") {
-        // Published last, atomically, after the fsync pass below.
-        current_content.append(chunk.data);
-        continue;
+      contents += chunk.data;
+      if (!chunk.last) continue;
+      if (chunk.file == wal::kCurrentFileName) {
+        current = std::move(contents);
+      } else {
+        const std::string path = data_dir + "/" + chunk.file;
+        ANKER_RETURN_IF_ERROR(wal::EnsureDir(path.substr(0, path.rfind('/'))));
+        ANKER_RETURN_IF_ERROR(wal::AtomicWriteFile(path, contents));
       }
-      const std::string path = data_dir + "/" + chunk.file;
-      if (path != open_path) {
-        ANKER_RETURN_IF_ERROR(close_open());
-        const size_t slash = chunk.file.rfind('/');
-        if (slash != std::string::npos) {
-          ANKER_RETURN_IF_ERROR(
-              wal::EnsureDir(data_dir + "/" + chunk.file.substr(0, slash)));
-        }
-        fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                    0644);
-        if (fd < 0) {
-          return Status::IoError("cannot create " + path + ": " +
-                                 std::strerror(errno));
-        }
-        open_path = path;
-        written.push_back(chunk.file);
-      }
-      size_t done = 0;
-      while (done < chunk.data.size()) {
-        const ssize_t n = ::pwrite(
-            fd, chunk.data.data() + done, chunk.data.size() - done,
-            static_cast<off_t>(chunk.offset + done));
-        if (n < 0) {
-          if (errno == EINTR) continue;
-          const Status failed =
-              Status::IoError("write failed for " + path);
-          close_open();
-          return failed;
-        }
-        done += static_cast<size_t>(n);
-      }
-      if (chunk.last) ANKER_RETURN_IF_ERROR(close_open());
+      contents.clear();
       continue;
     }
     if (op == Op::kCkptDone) {
-      ANKER_RETURN_IF_ERROR(close_open());
       uint32_t file_count = 0;
       ANKER_RETURN_IF_ERROR(DecodeCkptDone(body, &file_count));
-      if (current_content.empty()) {
+      if (current.empty()) {
         return Status::IoError("checkpoint stream carried no CURRENT");
       }
-      // Make the files and their directories durable, then publish.
-      for (const std::string& rel : written) {
-        const size_t slash = rel.rfind('/');
-        if (slash != std::string::npos) {
-          ANKER_RETURN_IF_ERROR(
-              wal::SyncDir(data_dir + "/" + rel.substr(0, slash)));
-        }
-      }
+      // The new directories must be durable before CURRENT names one.
       ANKER_RETURN_IF_ERROR(wal::SyncDir(data_dir));
-      ANKER_RETURN_IF_ERROR(
-          wal::AtomicWriteFile(data_dir + "/CURRENT", current_content));
-      return Status::OK();
+      return wal::PublishCurrent(data_dir, current);
     }
-    close_open();
     return SimpleStatus(payload);  // kErr/kBusy (or protocol violation).
   }
 }

@@ -26,7 +26,6 @@ class PlainBuffer : public SnapshotableBuffer {
     return region_.DontNeed(offset, vm::RoundUpToPage(len));
   }
 
-  bool SupportsSnapshots() const override { return false; }
   const char* name() const override { return "plain"; }
 
  private:

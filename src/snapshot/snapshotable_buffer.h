@@ -114,9 +114,6 @@ class SnapshotableBuffer {
   /// Creates a point-in-time snapshot of the current contents.
   virtual Result<std::unique_ptr<SnapshotView>> TakeSnapshot() = 0;
 
-  /// Whether TakeSnapshot is implemented (PlainBuffer returns false).
-  virtual bool SupportsSnapshots() const { return true; }
-
   /// Backend name for bench output, e.g. "vm_snapshot".
   virtual const char* name() const = 0;
 

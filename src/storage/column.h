@@ -29,7 +29,7 @@ struct ColumnSnapshot {
   /// Tiered columns only: each segment's dirty generation at seal time —
   /// the content version the view holds per segment. Incremental
   /// checkpoints use it to decide which published extents still match
-  /// this image (see SegmentStorage::CollectCheckpointRefs).
+  /// this image (see ColumnSegments::CollectCheckpointRefs).
   std::vector<uint64_t> segment_gens;
   mvcc::Timestamp epoch_ts = 0;  ///< Logical snapshot time (trigger).
   mvcc::Timestamp seal_ts = 0;   ///< Materialization time.
@@ -40,7 +40,7 @@ struct ColumnSnapshot {
 /// implements the paper's snapshot-consistency protocol (Section 2.2.3):
 /// updaters hold it shared, snapshot materialization exclusive.
 ///
-/// With tiering enabled (EnableTiering), a SegmentStorage layer under the
+/// With tiering enabled (EnableTiering), a ColumnSegments layer under the
 /// buffer lets fixed-size row segments go cold: their slots are released
 /// after being published to an on-disk extent, and reads/writes fault them
 /// back in transparently. An untiered column (`segments_ == nullptr`)
@@ -76,7 +76,7 @@ class Column {
   void EnableTiering(ExtentStore* store, size_t segment_rows);
 
   /// Residency layer, or nullptr when untiered.
-  SegmentStorage* segments() const { return segments_.get(); }
+  ColumnSegments* segments() const { return segments_.get(); }
 
   /// Unversioned store used during the initial data load (timestamp 0).
   void LoadValue(size_t row, uint64_t raw);
@@ -140,7 +140,7 @@ class Column {
   ValueType type_;
   std::unique_ptr<snapshot::SnapshotableBuffer> buffer_;
   std::unique_ptr<mvcc::VersionStore> versions_;
-  std::unique_ptr<SegmentStorage> segments_;  ///< nullptr = untiered.
+  std::unique_ptr<ColumnSegments> segments_;  ///< nullptr = untiered.
   size_t num_rows_;
   uint32_t stable_table_id_ = 0;
   uint32_t stable_column_id_ = 0;

@@ -31,16 +31,11 @@ bool EndsWith(const std::string& s, const char* suffix) {
 /// Parses "ext-<id>.ext" into `id`; false for anything else.
 bool ParseExtentName(const std::string& name, uint64_t* id) {
   uint64_t parsed = 0;
-  int consumed = 0;
-  if (std::sscanf(name.c_str(), "ext-%" SCNu64 ".ext%n", &parsed,
-                  &consumed) != 1) {
+  // The round trip rejects trailing bytes and "ext-007.ext" style aliases.
+  if (std::sscanf(name.c_str(), "ext-%" SCNu64, &parsed) != 1 ||
+      ExtentStore::FileName(parsed) != name) {
     return false;
   }
-  if (static_cast<size_t>(consumed) != name.size()) return false;
-  std::string expected(kExtentPrefix);
-  expected += std::to_string(parsed);
-  expected += kExtentSuffix;
-  if (expected != name) return false;  // rejects "ext-007.ext" style aliases
   *id = parsed;
   return true;
 }
@@ -73,8 +68,16 @@ Result<std::unique_ptr<ExtentStore>> ExtentStore::Open(
   return store;
 }
 
+std::string ExtentStore::DirIn(const std::string& data_dir) {
+  return data_dir + "/extents";
+}
+
+std::string ExtentStore::FileName(uint64_t id) {
+  return kExtentPrefix + std::to_string(id) + kExtentSuffix;
+}
+
 std::string ExtentStore::ExtentPath(uint64_t id) const {
-  return dir_ + "/" + kExtentPrefix + std::to_string(id) + kExtentSuffix;
+  return dir_ + "/" + FileName(id);
 }
 
 void ExtentStore::NoteNextId(uint64_t next_id) {

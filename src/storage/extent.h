@@ -88,6 +88,10 @@ class ExtentStore {
     return next_id_.load(std::memory_order_relaxed);
   }
 
+  /// `<data_dir>/extents`: where a database keeps its extent files.
+  static std::string DirIn(const std::string& data_dir);
+  /// Name of extent `id`'s file inside the store directory.
+  static std::string FileName(uint64_t id);
   std::string ExtentPath(uint64_t id) const;
   const std::string& dir() const { return dir_; }
 

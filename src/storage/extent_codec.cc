@@ -227,7 +227,8 @@ Status DecodeExtent(std::string_view frame, std::vector<uint64_t>* out) {
         return Status::IoError("plain extent size mismatch");
       }
       out->resize(n);
-      std::memcpy(out->data(), payload.data(), payload.size());
+      // memcpy into an empty vector's null data() is undefined.
+      if (n > 0) std::memcpy(out->data(), payload.data(), payload.size());
       return Status::OK();
     }
     case ExtentEncoding::kDictU64: {
@@ -238,7 +239,9 @@ Status DecodeExtent(std::string_view frame, std::vector<uint64_t>* out) {
         return Status::IoError("dict extent header mismatch");
       }
       std::vector<uint64_t> dict(count);
-      std::memcpy(dict.data(), payload.data(), count * sizeof(uint64_t));
+      if (count > 0) {
+        std::memcpy(dict.data(), payload.data(), count * sizeof(uint64_t));
+      }
       payload.remove_prefix(count * sizeof(uint64_t));
       if (count == 0 && n != 0) {
         return Status::IoError("dict extent with rows but no entries");

@@ -39,81 +39,10 @@ struct SegmentExtentRef {
 /// released and the bytes live in a published extent file). The query
 /// layer never sees the difference — reads fault cold segments back in,
 /// and scans run over buffers whose residency is pinned for the scan's
-/// lifetime. A null SegmentStorage on a column means "untiered": every
-/// fast path keeps today's all-RAM behavior.
-class SegmentStorage {
- public:
-  virtual ~SegmentStorage() = default;
-
-  /// Point read of the newest committed raw value, faulting the segment
-  /// in from its extent when cold. Lock-free while the segment is
-  /// resident. A fault-in that cannot read its extent back is fatal
-  /// (ANKER_CHECK): the read path has no way to surface a status.
-  virtual uint64_t Read(size_t row) = 0;
-
-  /// Prepares `row`'s segment for a slot mutation: faults it in when
-  /// cold and advances its dirty generation (invalidating any published
-  /// extent). The returned lock is held by the caller across the slot
-  /// store, so extent captures never see a torn write. Caller context
-  /// must serialize buffer dirty tracking — the commit path (latches
-  /// shared under the commit mutex) and quiesced loads both qualify.
-  virtual std::unique_lock<std::mutex> BeginWrite(size_t row) = 0;
-
-  /// Faults every segment in and pins the column resident; the returned
-  /// lease unpins on destruction. Eviction skips pinned columns, so raw
-  /// scan pointers stay valid for the lease's lifetime. Caller holds the
-  /// column latch EXCLUSIVE (or the engine is quiesced).
-  virtual Result<std::shared_ptr<void>> PinResidentLocked() = 0;
-
-  struct SpillCandidate {
-    size_t segment = 0;
-    uint64_t last_access = 0;
-    uint64_t bytes = 0;  ///< Raw slot bytes the eviction would release.
-  };
-  /// Appends every currently-resident segment (coldest-first ordering is
-  /// the caller's job — it merges candidates across columns).
-  virtual void CollectSpillCandidates(
-      std::vector<SpillCandidate>* out) const = 0;
-
-  /// Attempts to evict one segment: publish its extent if none is
-  /// current, then release the buffer range. Returns false (not an
-  /// error) when the segment is unspillable right now — pinned, already
-  /// cold, carrying versions, or racing a writer. Takes the column latch
-  /// exclusively for the release step; callers hold no locks.
-  virtual Result<bool> TrySpill(size_t segment) = 0;
-
-  /// Samples every segment's dirty generation. Called under the column's
-  /// exclusive latch at snapshot seal time: the returned vector identifies
-  /// the exact content version each segment had in that snapshot image.
-  virtual void SampleDirtyGens(std::vector<uint64_t>* out) const = 0;
-
-  /// One extent ref per segment for an incremental checkpoint, captured
-  /// from `image` — a consistent snapshot of the whole column whose
-  /// per-segment content versions are `image_gens` (from SampleDirtyGens
-  /// at seal time). A segment whose published extent already carries its
-  /// image generation is re-referenced without touching bytes; the rest
-  /// are encoded from the image and published now. Never reads the live
-  /// buffer, so concurrent commits cannot tear a transaction across the
-  /// checkpoint.
-  virtual Result<std::vector<SegmentExtentRef>> CollectCheckpointRefs(
-      const uint64_t* image, const std::vector<uint64_t>& image_gens) = 0;
-
-  /// Recovery: the checkpoint restored this ref's rows from its extent,
-  /// so the segment's published extent is current again (until WAL replay
-  /// dirties it). Refs that no longer line up with a segment boundary
-  /// (the segment size changed across restarts) are silently ignored —
-  /// the data is already loaded; the next checkpoint just re-publishes.
-  virtual void NoteRecoveredExtent(const SegmentExtentRef& ref) = 0;
-
-  /// Adds every extent id any segment still references to `keep` (the
-  /// checkpoint prune keep-set).
-  virtual void AppendLiveExtents(std::unordered_set<uint64_t>* keep) const = 0;
-
-  virtual uint64_t resident_bytes() const = 0;
-  virtual uint64_t cold_bytes() const = 0;
-};
-
-/// The tiered implementation. Concurrency design, in one place:
+/// lifetime. A column without ColumnSegments is "untiered": every fast
+/// path keeps today's all-RAM behavior.
+///
+/// Concurrency design, in one place:
 ///
 ///  - Every slot mutation goes through BeginWrite, which holds the
 ///    segment mutex across the store. Commits additionally hold the
@@ -132,7 +61,7 @@ class SegmentStorage {
 ///    (extent publication) happens outside both; captured bytes are
 ///    tagged with the segment's dirty generation and the publication is
 ///    discarded if a write intervened.
-class ColumnSegments : public SegmentStorage {
+class ColumnSegments {
  public:
   /// `segment_rows` must be a power of two (>= 1024 keeps segments
   /// page-aligned and whole version-metadata blocks). The last segment
@@ -143,20 +72,71 @@ class ColumnSegments : public SegmentStorage {
                  std::string desc);
   ANKER_DISALLOW_COPY_AND_MOVE(ColumnSegments);
 
-  uint64_t Read(size_t row) override;
-  std::unique_lock<std::mutex> BeginWrite(size_t row) override;
-  Result<std::shared_ptr<void>> PinResidentLocked() override;
-  void CollectSpillCandidates(
-      std::vector<SpillCandidate>* out) const override;
-  Result<bool> TrySpill(size_t segment) override;
-  void SampleDirtyGens(std::vector<uint64_t>* out) const override;
+  /// Point read of the newest committed raw value, faulting the segment
+  /// in from its extent when cold. Lock-free while the segment is
+  /// resident. A fault-in that cannot read its extent back is fatal
+  /// (ANKER_CHECK): the read path has no way to surface a status.
+  uint64_t Read(size_t row);
+
+  /// Prepares `row`'s segment for a slot mutation: faults it in when
+  /// cold and advances its dirty generation (invalidating any published
+  /// extent). The returned lock is held by the caller across the slot
+  /// store, so extent captures never see a torn write. Caller context
+  /// must serialize buffer dirty tracking — the commit path (latches
+  /// shared under the commit mutex) and quiesced loads both qualify.
+  std::unique_lock<std::mutex> BeginWrite(size_t row);
+
+  /// Faults every segment in and pins the column resident; the returned
+  /// lease unpins on destruction. Eviction skips pinned columns, so raw
+  /// scan pointers stay valid for the lease's lifetime. Caller holds the
+  /// column latch EXCLUSIVE (or the engine is quiesced).
+  Result<std::shared_ptr<void>> PinResidentLocked();
+
+  struct SpillCandidate {
+    size_t segment = 0;
+    uint64_t last_access = 0;
+    uint64_t bytes = 0;  ///< Raw slot bytes the eviction would release.
+  };
+  /// Appends every currently-resident segment (coldest-first ordering is
+  /// the caller's job — it merges candidates across columns).
+  void CollectSpillCandidates(std::vector<SpillCandidate>* out) const;
+
+  /// Attempts to evict one segment: publish its extent if none is
+  /// current, then release the buffer range. Returns false (not an
+  /// error) when the segment is unspillable right now — pinned, already
+  /// cold, carrying versions, or racing a writer. Takes the column latch
+  /// exclusively for the release step; callers hold no locks.
+  Result<bool> TrySpill(size_t segment);
+
+  /// Samples every segment's dirty generation. Called under the column's
+  /// exclusive latch at snapshot seal time: the returned vector identifies
+  /// the exact content version each segment had in that snapshot image.
+  void SampleDirtyGens(std::vector<uint64_t>* out) const;
+
+  /// One extent ref per segment for an incremental checkpoint, captured
+  /// from `image` — a consistent snapshot of the whole column whose
+  /// per-segment content versions are `image_gens` (from SampleDirtyGens
+  /// at seal time). A segment whose published extent already carries its
+  /// image generation is re-referenced without touching bytes; the rest
+  /// are encoded from the image and published now. Never reads the live
+  /// buffer, so concurrent commits cannot tear a transaction across the
+  /// checkpoint.
   Result<std::vector<SegmentExtentRef>> CollectCheckpointRefs(
-      const uint64_t* image,
-      const std::vector<uint64_t>& image_gens) override;
-  void NoteRecoveredExtent(const SegmentExtentRef& ref) override;
-  void AppendLiveExtents(std::unordered_set<uint64_t>* keep) const override;
-  uint64_t resident_bytes() const override;
-  uint64_t cold_bytes() const override;
+      const uint64_t* image, const std::vector<uint64_t>& image_gens);
+
+  /// Recovery: the checkpoint restored this ref's rows from its extent,
+  /// so the segment's published extent is current again (until WAL replay
+  /// dirties it). Refs that no longer line up with a segment boundary
+  /// (the segment size changed across restarts) are silently ignored —
+  /// the data is already loaded; the next checkpoint just re-publishes.
+  void NoteRecoveredExtent(const SegmentExtentRef& ref);
+
+  /// Adds every extent id any segment still references to `keep` (the
+  /// checkpoint prune keep-set).
+  void AppendLiveExtents(std::unordered_set<uint64_t>* keep) const;
+
+  uint64_t resident_bytes() const;
+  uint64_t cold_bytes() const;
 
  private:
   enum State : uint8_t { kResident = 0, kCold = 1 };

@@ -44,6 +44,9 @@ class PagePool {
  private:
   Memfd file_;
   std::atomic<size_t> next_page_{0};
+  /// file_.size() as published after each growth: the lock-free fast path
+  /// reads this, never the Memfd field a concurrent Grow writes.
+  std::atomic<size_t> file_bytes_{0};
   SpinLock grow_lock_;
 };
 

@@ -32,6 +32,4 @@ size_t CountVmasInRange(const void* addr, size_t len) {
   return count;
 }
 
-size_t CountVmas() { return ReadProcMaps().size(); }
-
 }  // namespace anker::vm

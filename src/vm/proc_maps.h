@@ -21,9 +21,6 @@ std::vector<VmaInfo> ReadProcMaps();
 /// Counts VMAs overlapping [addr, addr+len).
 size_t CountVmasInRange(const void* addr, size_t len);
 
-/// Total number of VMAs in the process.
-size_t CountVmas();
-
 }  // namespace anker::vm
 
 #endif  // ANKER_VM_PROC_MAPS_H_

@@ -31,6 +31,7 @@ constexpr uint32_t kIndexMagic = 0x31584941u;     // "AIX1"
 constexpr uint64_t kManifestMagic = 0x3354464D524B4E41ULL;  // "ANKRMFT3"
 constexpr size_t kExtentRefBytes = 8 + 8 + 8 + 4 + 4;
 constexpr size_t kBlobHeaderBytes = 4 + 4 + 8;
+constexpr char kManifestFileName[] = "MANIFEST";
 
 std::string CheckpointDirName(mvcc::Timestamp ts) {
   char buf[32];
@@ -61,11 +62,7 @@ void EncodeManifest(const CheckpointManifest& m, std::string* out) {
   for (const CheckpointTableMeta& t : m.tables) {
     PutString(out, t.name);
     PutU64(out, t.num_rows);
-    PutU32(out, static_cast<uint32_t>(t.schema.size()));
-    for (const storage::ColumnDef& def : t.schema) {
-      PutString(out, def.name);
-      PutU8(out, static_cast<uint8_t>(def.type));
-    }
+    PutSchema(t.schema, out);
     PutU32(out, static_cast<uint32_t>(t.dictionaries.size()));
     for (const auto& [column, entries] : t.dictionaries) {
       PutString(out, column);
@@ -83,13 +80,7 @@ void EncodeManifest(const CheckpointManifest& m, std::string* out) {
     PutU32(out, p.primary_shard);
     PutU64(out, p.start_ts);
     PutU64(out, p.prepare_ts);
-    PutU32(out, static_cast<uint32_t>(p.writes.size()));
-    for (const RedoWrite& w : p.writes) {
-      PutU32(out, w.table_id);
-      PutU32(out, w.column_id);
-      PutU64(out, w.row);
-      PutU64(out, w.value);
-    }
+    PutRedoWrites(p.writes, out);
   }
   PutU32(out, static_cast<uint32_t>(m.outcomes.size()));
   for (const CheckpointTxnOutcome& o : m.outcomes) {
@@ -117,18 +108,9 @@ Status DecodeManifest(std::string_view in, CheckpointManifest* m) {
   m->tables.reserve(ntables);
   for (uint32_t i = 0; i < ntables; ++i) {
     CheckpointTableMeta t;
-    uint32_t ncols = 0;
     if (!GetString(&in, &t.name) || !GetU64(&in, &t.num_rows) ||
-        !GetU32(&in, &ncols)) {
+        !GetSchema(&in, &t.schema)) {
       return malformed;
-    }
-    t.schema.reserve(ncols);
-    for (uint32_t c = 0; c < ncols; ++c) {
-      storage::ColumnDef def;
-      uint8_t vt = 0;
-      if (!GetString(&in, &def.name) || !GetU8(&in, &vt)) return malformed;
-      def.type = static_cast<storage::ValueType>(vt);
-      t.schema.push_back(std::move(def));
     }
     uint32_t ndicts = 0;
     if (!GetU32(&in, &ndicts)) return malformed;
@@ -162,20 +144,10 @@ Status DecodeManifest(std::string_view in, CheckpointManifest* m) {
   m->prepared.reserve(nprepared);
   for (uint32_t i = 0; i < nprepared; ++i) {
     CheckpointPreparedTxn p;
-    uint32_t nwrites = 0;
     if (!GetU64(&in, &p.gtid) || !GetU32(&in, &p.primary_shard) ||
         !GetU64(&in, &p.start_ts) || !GetU64(&in, &p.prepare_ts) ||
-        !GetU32(&in, &nwrites)) {
+        !GetRedoWrites(&in, &p.writes)) {
       return malformed;
-    }
-    p.writes.reserve(nwrites);
-    for (uint32_t w = 0; w < nwrites; ++w) {
-      RedoWrite write;
-      if (!GetU32(&in, &write.table_id) || !GetU32(&in, &write.column_id) ||
-          !GetU64(&in, &write.row) || !GetU64(&in, &write.value)) {
-        return malformed;
-      }
-      p.writes.push_back(write);
     }
     m->prepared.push_back(std::move(p));
   }
@@ -250,6 +222,18 @@ Status ReadBlob(const std::string& path, uint32_t expected_magic,
 }
 
 }  // namespace
+
+Status PublishCurrent(const std::string& data_dir,
+                      const std::string& dir_name) {
+  return AtomicWriteFile(data_dir + "/" + kCurrentFileName, dir_name + "\n");
+}
+
+std::string WalDirOf(const std::string& data_dir) { return data_dir + "/wal"; }
+
+bool HasDurableState(const std::string& data_dir) {
+  return PathExists(data_dir + "/" + kCurrentFileName) ||
+         PathExists(WalDirOf(data_dir));
+}
 
 CheckpointWriter::CheckpointWriter(std::string data_dir)
     : data_dir_(std::move(data_dir)) {}
@@ -403,7 +387,7 @@ Status CheckpointWriter::Finish(const CheckpointManifest& manifest) {
   PutU32(&framed, MaskCrc(Crc32c(0, payload.data(), payload.size())));
   framed += payload;
 
-  const std::string manifest_path = tmp_path_ + "/MANIFEST";
+  const std::string manifest_path = tmp_path_ + "/" + kManifestFileName;
   {
     const int fd =
         ::open(manifest_path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
@@ -425,8 +409,7 @@ Status CheckpointWriter::Finish(const CheckpointManifest& manifest) {
   ANKER_RETURN_IF_ERROR(SyncDir(data_dir_));
 
   // Point CURRENT at the new checkpoint; only now is it live.
-  ANKER_RETURN_IF_ERROR(
-      AtomicWriteFile(data_dir_ + "/CURRENT", dir_name_ + "\n"));
+  ANKER_RETURN_IF_ERROR(PublishCurrent(data_dir_, dir_name_));
   FaultInjector::Instance().MaybeKill("ckpt.publish.post");
 
   // Prune every other checkpoint (and stale temp directories).
@@ -450,7 +433,7 @@ void CheckpointWriter::Abort() {
 Result<CheckpointManifest> CheckpointReader::ReadManifest(
     const std::string& data_dir, std::string* ckpt_path) {
   std::string current;
-  const Status s = ReadFile(data_dir + "/CURRENT", &current);
+  const Status s = ReadFile(data_dir + "/" + kCurrentFileName, &current);
   if (s.IsNotFound()) {
     return Status::NotFound("no checkpoint in " + data_dir);
   }
@@ -465,7 +448,7 @@ Result<CheckpointManifest> CheckpointReader::ReadManifest(
   const std::string path = data_dir + "/" + current;
 
   std::string framed;
-  ANKER_RETURN_IF_ERROR(ReadFile(path + "/MANIFEST", &framed));
+  ANKER_RETURN_IF_ERROR(ReadFile(path + "/" + kManifestFileName, &framed));
   std::string_view in(framed);
   uint32_t len = 0, masked = 0;
   if (!GetU32(&in, &len) || !GetU32(&in, &masked) || in.size() != len) {
@@ -478,6 +461,20 @@ Result<CheckpointManifest> CheckpointReader::ReadManifest(
   ANKER_RETURN_IF_ERROR(DecodeManifest(in, &manifest));
   if (ckpt_path != nullptr) *ckpt_path = path;
   return manifest;
+}
+
+std::vector<std::string> CheckpointReader::FileNames(
+    const CheckpointManifest& manifest) {
+  std::vector<std::string> names = {kManifestFileName};
+  for (uint32_t t = 0; t < manifest.tables.size(); ++t) {
+    for (uint32_t c = 0; c < manifest.tables[t].schema.size(); ++c) {
+      names.push_back(ColumnFileName(t, c));
+    }
+    if (manifest.tables[t].has_primary_index) {
+      names.push_back(IndexFileName(t));
+    }
+  }
+  return names;
 }
 
 Status CheckpointReader::LoadColumn(

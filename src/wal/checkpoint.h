@@ -84,6 +84,21 @@ struct CheckpointManifest {
   std::vector<uint64_t> extents;
 };
 
+/// Name of the live-checkpoint pointer inside a data_dir. The checkpoint
+/// transfer ships it under this name, last.
+inline constexpr char kCurrentFileName[] = "CURRENT";
+
+/// Durably points `<data_dir>/CURRENT` at checkpoint directory `dir_name`.
+Status PublishCurrent(const std::string& data_dir,
+                      const std::string& dir_name);
+
+/// The log directory of a database's data_dir.
+std::string WalDirOf(const std::string& data_dir);
+
+/// True when `data_dir` holds a published checkpoint or a log directory:
+/// it must be reopened with recovery, never initialized as fresh.
+bool HasDurableState(const std::string& data_dir);
+
 /// Streams one checkpoint into `<data_dir>/ckpt-<ts>.tmp/`, then publishes
 /// it atomically: fsync every file, rename the directory to its final
 /// name, flip `<data_dir>/CURRENT` (write-temp + rename + dir fsync) and
@@ -146,6 +161,11 @@ class CheckpointReader {
   /// NotFound when `data_dir` has no CURRENT pointer (fresh directory).
   static Result<CheckpointManifest> ReadManifest(const std::string& data_dir,
                                                  std::string* ckpt_path);
+
+  /// Files inside the checkpoint directory `manifest` describes: the
+  /// manifest, one per column and one per primary index.
+  static std::vector<std::string> FileNames(
+      const CheckpointManifest& manifest);
 
   /// Loads column data into `column` via its load path (timestamp-0
   /// values; version chains start empty after recovery). A plain (ACL1)

@@ -7,23 +7,11 @@
 #include <cstdio>
 #include <vector>
 
-#include "wal/crc32c.h"
 #include "wal/io_util.h"
 
 namespace anker::wal {
 
 namespace {
-
-bool ParseSegmentName(const std::string& name, uint64_t* seq) {
-  unsigned long long parsed = 0;
-  int consumed = 0;
-  if (std::sscanf(name.c_str(), "wal-%llu.log%n", &parsed, &consumed) != 1 ||
-      consumed != static_cast<int>(name.size())) {
-    return false;
-  }
-  *seq = parsed;
-  return true;
-}
 
 /// Parses one segment image. Valid records are appended to `records`
 /// (paired with their LSN); `*valid_bytes` receives the length of the
@@ -36,40 +24,24 @@ bool ParseSegment(const std::string& data, uint64_t expected_seq,
                   std::vector<std::pair<uint64_t, WalRecord>>* records,
                   size_t* valid_bytes) {
   *valid_bytes = 0;
-  std::string_view in(data);
-  uint64_t magic = 0;
-  uint32_t version = 0, pad = 0;
-  uint64_t seq = 0;
-  if (!GetU64(&in, &magic) || !GetU32(&in, &version) || !GetU32(&in, &pad) ||
-      !GetU64(&in, &seq) || magic != kSegmentMagic ||
-      version != kWalFormatVersion || seq != expected_seq) {
-    return false;
-  }
+  if (!SegmentHeaderValid(data, expected_seq)) return false;
   *valid_bytes = kSegmentHeaderBytes;
-  for (;;) {
-    if (in.empty()) return true;  // Clean end at a record boundary.
-    std::string_view frame = in;
-    uint32_t len = 0, masked_crc = 0;
-    uint64_t lsn = 0;
-    if (!GetU32(&frame, &len) || !GetU32(&frame, &masked_crc) ||
-        !GetU64(&frame, &lsn)) {
+  std::string_view in(data);
+  in.remove_prefix(kSegmentHeaderBytes);
+  while (!in.empty()) {  // Empty: clean end at a record boundary.
+    WalFrame frame;
+    if (DecodeFrame(in, &frame) != FrameCheck::kOk ||
+        frame.lsn <= *prev_lsn) {
       return false;
     }
-    if (len > kMaxRecordBytes || frame.size() < len) return false;
-    // The CRC covers the LSN and the payload (everything after the CRC
-    // word itself).
-    const char* crc_begin = in.data() + 8;
-    if (Crc32c(0, crc_begin, 8 + len) != UnmaskCrc(masked_crc)) {
-      return false;
-    }
-    if (lsn <= *prev_lsn) return false;
     WalRecord record;
-    if (!DecodeRecord(frame.substr(0, len), &record).ok()) return false;
-    *prev_lsn = lsn;
-    records->emplace_back(lsn, std::move(record));
-    in.remove_prefix(kRecordFrameBytes + len);
-    *valid_bytes += kRecordFrameBytes + len;
+    if (!DecodeRecord(frame.payload, &record).ok()) return false;
+    *prev_lsn = frame.lsn;
+    records->emplace_back(frame.lsn, std::move(record));
+    in.remove_prefix(frame.frame_bytes());
+    *valid_bytes += frame.frame_bytes();
   }
+  return true;
 }
 
 Status TruncateFile(const std::string& path, size_t bytes) {
@@ -84,30 +56,20 @@ Status TruncateFile(const std::string& path, size_t bytes) {
 Result<LogScanResult> LogReader::Scan(const std::string& wal_dir,
                                       const RecordFn& fn, bool repair) {
   LogScanResult result;
-  if (!PathExists(wal_dir)) return result;
-
-  std::vector<std::string> names;
-  ANKER_RETURN_IF_ERROR(ListDir(wal_dir, &names));
-  std::vector<std::pair<uint64_t, std::string>> segments;
-  for (const std::string& name : names) {
-    uint64_t seq = 0;
-    if (ParseSegmentName(name, &seq)) {
-      segments.emplace_back(seq, wal_dir + "/" + name);
-    }
-  }
-  std::sort(segments.begin(), segments.end());
+  std::vector<SegmentFile> segments;
+  ANKER_RETURN_IF_ERROR(ListSegments(wal_dir, &segments));
   if (segments.empty()) return result;
-  result.next_segment_seq = segments.back().first + 1;
+  result.next_segment_seq = segments.back().seq + 1;
 
   uint64_t prev_lsn = 0;
   for (size_t i = 0; i < segments.size(); ++i) {
     const bool is_last = (i + 1 == segments.size());
     std::string data;
-    ANKER_RETURN_IF_ERROR(ReadFile(segments[i].second, &data));
+    ANKER_RETURN_IF_ERROR(ReadFile(segments[i].path, &data));
 
     std::vector<std::pair<uint64_t, WalRecord>> records;
     size_t valid_bytes = 0;
-    const bool clean = ParseSegment(data, segments[i].first, &prev_lsn,
+    const bool clean = ParseSegment(data, segments[i].seq, &prev_lsn,
                                     &records, &valid_bytes);
     if (!clean && !is_last) {
       char msg[256];
@@ -115,13 +77,13 @@ Result<LogScanResult> LogReader::Scan(const std::string& wal_dir,
                     "WAL segment %" PRIu64
                     " is corrupt at byte %zu but newer segments exist; "
                     "refusing to recover past a mid-log hole",
-                    segments[i].first, valid_bytes);
+                    segments[i].seq, valid_bytes);
       return Status::IoError(msg);
     }
 
     PriorSegment prior;
-    prior.seq = segments[i].first;
-    prior.path = segments[i].second;
+    prior.seq = segments[i].seq;
+    prior.path = segments[i].path;
     prior.has_records = !records.empty();
     for (const auto& [lsn, record] : records) {
       if (record.type == RecordType::kCommit) {
@@ -144,11 +106,11 @@ Result<LogScanResult> LogReader::Scan(const std::string& wal_dir,
         if (valid_bytes < kSegmentHeaderBytes) {
           // Not even the header survived: drop the file entirely so the
           // next scan does not trip over a headerless segment.
-          ANKER_RETURN_IF_ERROR(RemoveFile(segments[i].second));
+          ANKER_RETURN_IF_ERROR(RemoveFile(segments[i].path));
           file_removed = true;
         } else {
           ANKER_RETURN_IF_ERROR(
-              TruncateFile(segments[i].second, valid_bytes));
+              TruncateFile(segments[i].path, valid_bytes));
         }
         ANKER_RETURN_IF_ERROR(SyncDir(wal_dir));
       }

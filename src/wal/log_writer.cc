@@ -5,22 +5,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 
 #include "common/fault_injector.h"
-#include "wal/crc32c.h"
 #include "wal/io_util.h"
 
 namespace anker::wal {
 
 namespace {
-
-std::string SegmentName(uint64_t seq) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "wal-%08llu.log",
-                static_cast<unsigned long long>(seq));
-  return buf;
-}
 
 inline void CpuRelax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -74,16 +65,10 @@ Status LogWriter::Open(uint64_t first_segment_seq,
 
 uint64_t LogWriter::Append(std::string_view payload, mvcc::Timestamp max_ts) {
   ANKER_CHECK(opened_);
-  ANKER_CHECK(payload.size() <= kMaxRecordBytes);
   FaultInjector::Instance().MaybeKill("wal.append");
   buffer_lock_.lock();
   const uint64_t lsn = next_lsn_++;
-  PutU32(&pending_, static_cast<uint32_t>(payload.size()));
-  PutU32(&pending_, 0);  // CRC placeholder — filled in at flush time.
-  PutU64(&pending_, lsn);
-  pending_.append(payload.data(), payload.size());
-  pending_boundaries_.push_back(PendingRecord{pending_.size(), max_ts, lsn});
-  buffered_lsn_ = lsn;
+  BufferLocked(payload, max_ts, lsn);
   buffer_lock_.unlock();
   // No flusher wake-up: under group commit the waiter flushes itself
   // (leader), under lazy durability the background cadence handles it.
@@ -93,17 +78,20 @@ uint64_t LogWriter::Append(std::string_view payload, mvcc::Timestamp max_ts) {
 void LogWriter::AppendReplicated(std::string_view payload,
                                  mvcc::Timestamp max_ts, uint64_t lsn) {
   ANKER_CHECK(opened_);
-  ANKER_CHECK(payload.size() <= kMaxRecordBytes);
   buffer_lock_.lock();
   ANKER_CHECK_MSG(lsn >= next_lsn_, "replicated LSN would regress the log");
   next_lsn_ = lsn + 1;
-  PutU32(&pending_, static_cast<uint32_t>(payload.size()));
-  PutU32(&pending_, 0);  // CRC placeholder — filled in at flush time.
-  PutU64(&pending_, lsn);
+  BufferLocked(payload, max_ts, lsn);
+  buffer_lock_.unlock();
+}
+
+void LogWriter::BufferLocked(std::string_view payload, mvcc::Timestamp max_ts,
+                             uint64_t lsn) {
+  ANKER_CHECK(payload.size() <= kMaxRecordBytes);
+  AppendFrameHeader(static_cast<uint32_t>(payload.size()), lsn, &pending_);
   pending_.append(payload.data(), payload.size());
   pending_boundaries_.push_back(PendingRecord{pending_.size(), max_ts, lsn});
   buffered_lsn_ = lsn;
-  buffer_lock_.unlock();
 }
 
 bool LogWriter::TryLeadFlush() {
@@ -149,16 +137,10 @@ bool LogWriter::TryLeadFlush() {
   }
 
   // Checksum every record in the batch — off the commit path, in the
-  // shadow of whatever the committers are doing next. The CRC covers the
-  // LSN word and the payload (bytes 8.. of the frame).
+  // shadow of whatever the committers are doing next.
   size_t start = 0;
   for (const PendingRecord& record : boundaries) {
-    const size_t crc_off = start + 8;
-    const uint32_t crc =
-        MaskCrc(Crc32c(0, batch.data() + crc_off, record.end - crc_off));
-    for (int i = 0; i < 4; ++i) {
-      batch[start + 4 + i] = static_cast<char>(crc >> (8 * i));
-    }
+    SealFrame(batch.data() + start, record.end - start);
     start = record.end;
   }
 
@@ -369,7 +351,7 @@ Status LogWriter::WriteAndMaybeRotate(
 }
 
 Status LogWriter::OpenSegment(uint64_t seq) {
-  const std::string path = wal_dir_ + "/" + SegmentName(seq);
+  const std::string path = wal_dir_ + "/" + SegmentFileName(seq);
   int flags = O_CREAT | O_TRUNC | O_WRONLY;
   if (options_.mode == DurabilityMode::kGroupCommit) flags |= O_DSYNC;
   fd_ = ::open(path.c_str(), flags, 0644);
@@ -378,11 +360,7 @@ Status LogWriter::OpenSegment(uint64_t seq) {
   }
   current_ = Segment{seq, path, 0, 0, false};
   std::string header;
-  PutU64(&header, kSegmentMagic);
-  PutU32(&header, kWalFormatVersion);
-  PutU32(&header, 0);  // padding / reserved
-  PutU64(&header, seq);
-  ANKER_CHECK(header.size() == kSegmentHeaderBytes);
+  EncodeSegmentHeader(seq, &header);
   ANKER_RETURN_IF_ERROR(WriteFully(fd_, header.data(), header.size()));
   current_bytes_ = header.size();
   // The file name itself must be durable before any record in it is

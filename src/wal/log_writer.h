@@ -167,6 +167,10 @@ class LogWriter {
     uint64_t lsn = 0;
   };
 
+  /// Frames `payload` at `lsn` into pending_. Caller holds buffer_lock_.
+  void BufferLocked(std::string_view payload, mvcc::Timestamp max_ts,
+                    uint64_t lsn);
+
   void FlusherLoop();
 
   /// Leader election + flush: CASes flushing_, drains the pending buffer,

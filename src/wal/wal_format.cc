@@ -1,6 +1,11 @@
 #include "wal/wal_format.h"
 
+#include <algorithm>
+#include <cstdio>
 #include <cstring>
+
+#include "wal/crc32c.h"
+#include "wal/io_util.h"
 
 namespace anker::wal {
 
@@ -75,36 +80,6 @@ bool GetString(std::string_view* in, std::string* s) {
   return true;
 }
 
-void EncodeCommit(mvcc::Timestamp commit_ts,
-                  const std::vector<RedoWrite>& writes, std::string* out) {
-  PutU8(out, static_cast<uint8_t>(RecordType::kCommit));
-  PutU64(out, commit_ts);
-  PutU32(out, static_cast<uint32_t>(writes.size()));
-  for (const RedoWrite& w : writes) {
-    PutU32(out, w.table_id);
-    PutU32(out, w.column_id);
-    PutU64(out, w.row);
-    PutU64(out, w.value);
-  }
-}
-
-void EncodeCreateTable(uint32_t table_id, const std::string& name,
-                       uint64_t num_rows,
-                       const std::vector<storage::ColumnDef>& schema,
-                       std::string* out) {
-  PutU8(out, static_cast<uint8_t>(RecordType::kCreateTable));
-  PutU32(out, table_id);
-  PutString(out, name);
-  PutU64(out, num_rows);
-  PutU32(out, static_cast<uint32_t>(schema.size()));
-  for (const storage::ColumnDef& def : schema) {
-    PutString(out, def.name);
-    PutU8(out, static_cast<uint8_t>(def.type));
-  }
-}
-
-namespace {
-
 void PutRedoWrites(const std::vector<RedoWrite>& writes, std::string* out) {
   PutU32(out, static_cast<uint32_t>(writes.size()));
   for (const RedoWrite& w : writes) {
@@ -115,22 +90,19 @@ void PutRedoWrites(const std::vector<RedoWrite>& writes, std::string* out) {
   }
 }
 
-/// Decodes a count-prefixed redo write-set that must consume the REST of
-/// the payload exactly (every record type stores its write-set last).
-bool GetRedoWritesDrained(std::string_view* payload,
-                          std::vector<RedoWrite>* writes) {
+bool GetRedoWrites(std::string_view* in, std::vector<RedoWrite>* writes) {
   uint32_t n = 0;
-  if (!GetU32(payload, &n)) return false;
-  // The count must be consistent with the bytes that actually follow
-  // (24 per write) before it sizes an allocation — a corrupt count
-  // that slips past the CRC must fail as IoError, not as bad_alloc.
-  if (static_cast<size_t>(n) * 24 != payload->size()) return false;
+  if (!GetU32(in, &n)) return false;
+  // Bound the count by the bytes that actually follow (24 per write)
+  // before it sizes an allocation: a corrupt count that slips past a CRC
+  // must fail as IoError, not as bad_alloc.
+  if (static_cast<size_t>(n) * 24 > in->size()) return false;
   writes->clear();
   writes->reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     RedoWrite w;
-    if (!GetU32(payload, &w.table_id) || !GetU32(payload, &w.column_id) ||
-        !GetU64(payload, &w.row) || !GetU64(payload, &w.value)) {
+    if (!GetU32(in, &w.table_id) || !GetU32(in, &w.column_id) ||
+        !GetU64(in, &w.row) || !GetU64(in, &w.value)) {
       return false;
     }
     writes->push_back(w);
@@ -138,7 +110,49 @@ bool GetRedoWritesDrained(std::string_view* payload,
   return true;
 }
 
-}  // namespace
+void PutSchema(const std::vector<storage::ColumnDef>& schema,
+               std::string* out) {
+  PutU32(out, static_cast<uint32_t>(schema.size()));
+  for (const storage::ColumnDef& def : schema) {
+    PutString(out, def.name);
+    PutU8(out, static_cast<uint8_t>(def.type));
+  }
+}
+
+bool GetSchema(std::string_view* in, std::vector<storage::ColumnDef>* schema) {
+  uint32_t n = 0;
+  if (!GetU32(in, &n)) return false;
+  // Each column is at least 5 bytes (length-prefixed name + type).
+  if (static_cast<size_t>(n) * 5 > in->size()) return false;
+  schema->clear();
+  schema->reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    storage::ColumnDef def;
+    uint8_t type = 0;
+    if (!GetString(in, &def.name) || !GetU8(in, &type)) return false;
+    def.type = static_cast<storage::ValueType>(type);
+    schema->push_back(std::move(def));
+  }
+  return true;
+}
+
+void EncodeCommit(mvcc::Timestamp commit_ts,
+                  const std::vector<RedoWrite>& writes, std::string* out) {
+  PutU8(out, static_cast<uint8_t>(RecordType::kCommit));
+  PutU64(out, commit_ts);
+  PutRedoWrites(writes, out);
+}
+
+void EncodeCreateTable(uint32_t table_id, const std::string& name,
+                       uint64_t num_rows,
+                       const std::vector<storage::ColumnDef>& schema,
+                       std::string* out) {
+  PutU8(out, static_cast<uint8_t>(RecordType::kCreateTable));
+  PutU32(out, table_id);
+  PutString(out, name);
+  PutU64(out, num_rows);
+  PutSchema(schema, out);
+}
 
 void EncodePrepare(uint64_t gtid, uint32_t primary_shard,
                    mvcc::Timestamp start_ts, mvcc::Timestamp prepare_ts,
@@ -177,7 +191,7 @@ Status DecodeRecord(std::string_view payload, WalRecord* record) {
     case RecordType::kCommit: {
       record->type = RecordType::kCommit;
       if (!GetU64(&payload, &record->commit_ts)) return malformed;
-      if (!GetRedoWritesDrained(&payload, &record->writes)) return malformed;
+      if (!GetRedoWrites(&payload, &record->writes)) return malformed;
       break;
     }
     case RecordType::kPrepare: {
@@ -188,7 +202,7 @@ Status DecodeRecord(std::string_view payload, WalRecord* record) {
           !GetU64(&payload, &record->prepare_ts)) {
         return malformed;
       }
-      if (!GetRedoWritesDrained(&payload, &record->writes)) return malformed;
+      if (!GetRedoWrites(&payload, &record->writes)) return malformed;
       break;
     }
     case RecordType::kCommitPrepared: {
@@ -198,7 +212,7 @@ Status DecodeRecord(std::string_view payload, WalRecord* record) {
           !GetU64(&payload, &record->apply_ts)) {
         return malformed;
       }
-      if (!GetRedoWritesDrained(&payload, &record->writes)) return malformed;
+      if (!GetRedoWrites(&payload, &record->writes)) return malformed;
       break;
     }
     case RecordType::kAbortPrepared: {
@@ -211,25 +225,11 @@ Status DecodeRecord(std::string_view payload, WalRecord* record) {
     }
     case RecordType::kCreateTable: {
       record->type = RecordType::kCreateTable;
-      uint32_t ncols = 0;
       if (!GetU32(&payload, &record->table_id) ||
           !GetString(&payload, &record->table_name) ||
-          !GetU64(&payload, &record->num_rows) || !GetU32(&payload, &ncols)) {
+          !GetU64(&payload, &record->num_rows) ||
+          !GetSchema(&payload, &record->schema)) {
         return malformed;
-      }
-      // Each column entry is at least 5 bytes (length-prefixed name +
-      // type); bound the count before it sizes an allocation.
-      if (static_cast<size_t>(ncols) * 5 > payload.size()) return malformed;
-      record->schema.clear();
-      record->schema.reserve(ncols);
-      for (uint32_t i = 0; i < ncols; ++i) {
-        storage::ColumnDef def;
-        uint8_t vt = 0;
-        if (!GetString(&payload, &def.name) || !GetU8(&payload, &vt)) {
-          return malformed;
-        }
-        def.type = static_cast<storage::ValueType>(vt);
-        record->schema.push_back(std::move(def));
       }
       break;
     }
@@ -237,8 +237,83 @@ Status DecodeRecord(std::string_view payload, WalRecord* record) {
       return Status::IoError("unknown WAL record type " +
                              std::to_string(type));
   }
-  if (!payload.empty()) return malformed;  // Trailing bytes: not our record.
+  // Trailing bytes (a write-set count below what follows): not our record.
+  if (!payload.empty()) return malformed;
   return Status::OK();
+}
+
+std::string SegmentFileName(uint64_t seq) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "wal-%08llu.log",
+                static_cast<unsigned long long>(seq));
+  return buf;
+}
+
+Status ListSegments(const std::string& wal_dir,
+                    std::vector<SegmentFile>* out) {
+  out->clear();
+  if (!PathExists(wal_dir)) return Status::OK();
+  std::vector<std::string> names;
+  ANKER_RETURN_IF_ERROR(ListDir(wal_dir, &names));
+  for (const std::string& name : names) {
+    unsigned long long seq = 0;
+    int consumed = 0;
+    if (std::sscanf(name.c_str(), "wal-%llu.log%n", &seq, &consumed) == 1 &&
+        consumed == static_cast<int>(name.size())) {
+      out->push_back(SegmentFile{seq, wal_dir + "/" + name});
+    }
+  }
+  std::sort(out->begin(), out->end(),
+            [](const SegmentFile& a, const SegmentFile& b) {
+              return a.seq < b.seq;
+            });
+  return Status::OK();
+}
+
+void EncodeSegmentHeader(uint64_t seq, std::string* out) {
+  PutU64(out, kSegmentMagic);
+  PutU32(out, kWalFormatVersion);
+  PutU32(out, 0);  // padding / reserved
+  PutU64(out, seq);
+}
+
+bool SegmentHeaderValid(std::string_view bytes, uint64_t seq) {
+  uint64_t magic = 0, header_seq = 0;
+  uint32_t version = 0, pad = 0;
+  return GetU64(&bytes, &magic) && GetU32(&bytes, &version) &&
+         GetU32(&bytes, &pad) && GetU64(&bytes, &header_seq) &&
+         magic == kSegmentMagic && version == kWalFormatVersion &&
+         header_seq == seq;
+}
+
+void AppendFrameHeader(uint32_t payload_bytes, uint64_t lsn,
+                       std::string* out) {
+  PutU32(out, payload_bytes);
+  PutU32(out, 0);  // CRC, sealed at flush time.
+  PutU64(out, lsn);
+}
+
+void SealFrame(char* frame, size_t frame_bytes) {
+  // The CRC covers the LSN word and the payload (bytes 8.. of the frame).
+  const uint32_t crc = MaskCrc(Crc32c(0, frame + 8, frame_bytes - 8));
+  for (int i = 0; i < 4; ++i) frame[4 + i] = static_cast<char>(crc >> (8 * i));
+}
+
+FrameCheck DecodeFrame(std::string_view in, WalFrame* frame) {
+  std::string_view rest = in;
+  uint32_t masked_crc = 0;
+  if (!GetU32(&rest, &frame->payload_bytes) || !GetU32(&rest, &masked_crc) ||
+      !GetU64(&rest, &frame->lsn)) {
+    return FrameCheck::kTruncated;
+  }
+  if (frame->payload_bytes > kMaxRecordBytes) return FrameCheck::kBadLength;
+  if (rest.size() < frame->payload_bytes) return FrameCheck::kTruncated;
+  if (Crc32c(0, in.data() + 8, 8 + frame->payload_bytes) !=
+      UnmaskCrc(masked_crc)) {
+    return FrameCheck::kBadCrc;
+  }
+  frame->payload = rest.substr(0, frame->payload_bytes);
+  return FrameCheck::kOk;
 }
 
 }  // namespace anker::wal

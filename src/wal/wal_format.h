@@ -104,6 +104,15 @@ bool GetU32(std::string_view* in, uint32_t* v);
 bool GetU64(std::string_view* in, uint64_t* v);
 bool GetString(std::string_view* in, std::string* s);
 
+/// Count-prefixed redo write-set, 24 bytes per write.
+void PutRedoWrites(const std::vector<RedoWrite>& writes, std::string* out);
+bool GetRedoWrites(std::string_view* in, std::vector<RedoWrite>* writes);
+
+/// Count-prefixed schema: (name, value type) per column.
+void PutSchema(const std::vector<storage::ColumnDef>& schema,
+               std::string* out);
+bool GetSchema(std::string_view* in, std::vector<storage::ColumnDef>* schema);
+
 // --- Record payloads ------------------------------------------------------
 
 /// Appends the payload (no frame) of a kCommit record to `out`.
@@ -136,7 +145,9 @@ void EncodeAbortPrepared(uint64_t gtid, mvcc::Timestamp abort_ts,
 /// trustworthy past this point).
 Status DecodeRecord(std::string_view payload, WalRecord* record);
 
-// --- On-disk framing constants --------------------------------------------
+// --- Segment files and record frames -------------------------------------
+// The only code that reads or writes segment bytes: the writer, recovery
+// and the replication tail each keep a policy for bad frames, no parser.
 
 /// Segment file header: magic, format version, sequence number.
 inline constexpr uint64_t kSegmentMagic = 0x314C4157524B4E41ULL;  // "ANKRWAL1"
@@ -155,6 +166,51 @@ inline constexpr size_t kRecordFrameBytes = 16;
 /// is treated as corruption, which keeps a torn length word from sending
 /// the reader on a gigabyte-sized goose chase.
 inline constexpr uint32_t kMaxRecordBytes = 1u << 26;
+
+/// File name of segment `seq`: "wal-<seq, 8 digits>.log".
+std::string SegmentFileName(uint64_t seq);
+
+struct SegmentFile {
+  uint64_t seq = 0;
+  std::string path;
+};
+
+/// Lists the segment files of `wal_dir` in sequence order. A missing
+/// directory is an empty log.
+Status ListSegments(const std::string& wal_dir, std::vector<SegmentFile>* out);
+
+/// Appends the header of segment `seq` (kSegmentHeaderBytes) to `out`.
+void EncodeSegmentHeader(uint64_t seq, std::string* out);
+
+/// True iff `bytes` begins with a complete, current-version header of
+/// segment `seq`.
+bool SegmentHeaderValid(std::string_view bytes, uint64_t seq);
+
+/// Appends a frame header with a zero CRC to `out`; the payload follows,
+/// and SealFrame fills the CRC in before the frame reaches the disk.
+void AppendFrameHeader(uint32_t payload_bytes, uint64_t lsn,
+                       std::string* out);
+/// Stores the CRC of the `frame_bytes`-long frame at `frame`.
+void SealFrame(char* frame, size_t frame_bytes);
+
+enum class FrameCheck {
+  kOk,
+  kTruncated,  ///< Fewer bytes than the header, or than it announces.
+  kBadLength,  ///< Length field above kMaxRecordBytes.
+  kBadCrc,     ///< The CRC over LSN + payload does not match.
+};
+
+struct WalFrame {
+  /// Header fields: set whenever the header is complete, bad frame or not.
+  uint64_t lsn = 0;
+  uint32_t payload_bytes = 0;
+  std::string_view payload;  ///< Set only for FrameCheck::kOk.
+  size_t frame_bytes() const { return kRecordFrameBytes + payload_bytes; }
+};
+
+/// Decodes the frame at the front of `in`: length bound, completeness and
+/// the CRC over LSN + payload, in that order.
+FrameCheck DecodeFrame(std::string_view in, WalFrame* frame);
 
 }  // namespace anker::wal
 

@@ -5,25 +5,10 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
-
-#include "wal/crc32c.h"
-#include "wal/io_util.h"
 
 namespace anker::wal {
 
 namespace {
-
-bool ParseSegmentName(const std::string& name, uint64_t* seq) {
-  unsigned long long parsed = 0;
-  int consumed = 0;
-  if (std::sscanf(name.c_str(), "wal-%llu.log%n", &parsed, &consumed) != 1 ||
-      consumed != static_cast<int>(name.size())) {
-    return false;
-  }
-  *seq = parsed;
-  return true;
-}
 
 /// pread that retries EINTR; returns bytes read (short at EOF) or -1.
 ssize_t PreadFully(int fd, void* buf, size_t len, uint64_t offset) {
@@ -42,22 +27,6 @@ ssize_t PreadFully(int fd, void* buf, size_t len, uint64_t offset) {
   return static_cast<ssize_t>(done);
 }
 
-uint32_t LoadU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t LoadU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
 }  // namespace
 
 WalTailer::WalTailer(std::string wal_dir) : wal_dir_(std::move(wal_dir)) {}
@@ -71,99 +40,70 @@ void WalTailer::CloseFile() {
   }
 }
 
-Status WalTailer::ListSegments(
-    std::vector<std::pair<uint64_t, std::string>>* out) {
-  out->clear();
-  if (!PathExists(wal_dir_)) return Status::OK();
-  std::vector<std::string> names;
-  ANKER_RETURN_IF_ERROR(ListDir(wal_dir_, &names));
-  for (const std::string& name : names) {
-    uint64_t seq = 0;
-    if (ParseSegmentName(name, &seq)) {
-      out->emplace_back(seq, wal_dir_ + "/" + name);
-    }
-  }
-  std::sort(out->begin(), out->end());
-  return Status::OK();
-}
-
-Status WalTailer::OpenSegmentFile(uint64_t seq, const std::string& path) {
+Status WalTailer::OpenSegmentFile(const SegmentFile& segment) {
   CloseFile();
-  fd_ = ::open(path.c_str(), O_RDONLY);
+  fd_ = ::open(segment.path.c_str(), O_RDONLY);
   if (fd_ < 0) {
     // The segment the tail needs is gone: truncated away while this
     // follower was behind. Only a checkpoint re-bootstrap can close the
     // hole.
-    return Status::OutOfRange("WAL tail segment truncated: " + path);
+    return Status::OutOfRange("WAL tail segment truncated: " + segment.path);
   }
   char header[kSegmentHeaderBytes];
   const ssize_t n = PreadFully(fd_, header, sizeof(header), 0);
-  if (n != static_cast<ssize_t>(sizeof(header)) ||
-      LoadU64(header) != kSegmentMagic ||
-      LoadU32(header + 8) != kWalFormatVersion ||
-      LoadU64(header + 16) != seq) {
+  if (n < 0 || !SegmentHeaderValid(std::string_view(header, n), segment.seq)) {
     CloseFile();
-    return Status::IoError("WAL tail: bad segment header in " + path);
+    return Status::IoError("WAL tail: bad segment header in " + segment.path);
   }
-  seq_ = seq;
+  seq_ = segment.seq;
   offset_ = kSegmentHeaderBytes;
   return Status::OK();
 }
 
+Result<bool> WalTailer::ReadFrameBytes(size_t len, WalFrame* frame,
+                                       FrameCheck* check) {
+  frame_buf_.resize(len);
+  const ssize_t n = PreadFully(fd_, frame_buf_.data(), len, offset_);
+  if (n < 0) return Status::IoError("WAL tail: pread failed");
+  frame_buf_.resize(static_cast<size_t>(n));
+  *check = DecodeFrame(frame_buf_, frame);
+  return frame_buf_.size() >= kRecordFrameBytes;
+}
+
 Status WalTailer::ReadFrame(uint64_t durable_limit, TailRecord* record,
                             FrameRead* outcome) {
-  char head[kRecordFrameBytes];
-  const ssize_t n = PreadFully(fd_, head, sizeof(head), offset_);
-  if (n < 0) return Status::IoError("WAL tail: pread failed");
-  if (n < static_cast<ssize_t>(sizeof(head))) {
-    // End of the written bytes. A live writer only appends whole frames
-    // per batch, but a reader can observe a batch mid-write; either way
-    // there is nothing deliverable here yet.
-    *outcome = FrameRead::kAtEnd;
-    return Status::OK();
-  }
-  const uint32_t len = LoadU32(head);
-  const uint32_t masked_crc = LoadU32(head + 4);
-  const uint64_t lsn = LoadU64(head + 8);
-  if (lsn > durable_limit) {
+  // End of the written bytes unless proven otherwise. A live writer only
+  // appends whole frames per batch, but a reader can observe a batch
+  // mid-write; either way there is nothing deliverable there yet.
+  *outcome = FrameRead::kAtEnd;
+  WalFrame frame;
+  FrameCheck check = FrameCheck::kTruncated;
+  auto present = ReadFrameBytes(kRecordFrameBytes, &frame, &check);
+  if (!present.ok()) return present.status();
+  if (!present.value()) return Status::OK();
+  if (frame.lsn > durable_limit) {
     // Written (or mid-write garbage) but not yet durable: never ship it.
     *outcome = FrameRead::kBeyond;
     return Status::OK();
   }
-  if (len > kMaxRecordBytes) {
+  if (check == FrameCheck::kBadLength) {
     return Status::IoError("WAL tail: implausible record length");
   }
-  // CRC covers the LSN word + payload; rebuild the covered bytes.
-  std::string covered;
-  covered.reserve(8 + len);
-  covered.append(head + 8, 8);
-  covered.resize(8 + len);
-  const ssize_t body = PreadFully(fd_, covered.data() + 8, len,
-                                  offset_ + kRecordFrameBytes);
-  if (body < 0) return Status::IoError("WAL tail: pread failed");
-  if (body < static_cast<ssize_t>(len)) {
-    // A durable record is never torn; a partially visible one belongs to
-    // an in-flight batch whose durable_lsn has not been published — but
-    // we already checked lsn <= durable_limit above, so the only benign
-    // explanation is a garbage LSN in mid-write bytes. Wait it out.
-    *outcome = FrameRead::kAtEnd;
-    return Status::OK();
+  present = ReadFrameBytes(frame.frame_bytes(), &frame, &check);
+  if (!present.ok()) return present.status();
+  if (check == FrameCheck::kBadCrc && frame.lsn == next_lsn_) {
+    // The durable record this tail is due to deliver fails its own
+    // checksum: real corruption on the primary's disk.
+    return Status::IoError("WAL tail: checksum mismatch at durable LSN " +
+                           std::to_string(frame.lsn));
   }
-  if (Crc32c(0, covered.data(), covered.size()) != UnmaskCrc(masked_crc)) {
-    if (lsn == next_lsn_) {
-      // The durable record this tail is due to deliver fails its own
-      // checksum: real corruption on the primary's disk.
-      return Status::IoError("WAL tail: checksum mismatch at durable LSN " +
-                             std::to_string(lsn));
-    }
-    // Garbage bytes beyond the durable prefix that happened to parse as
-    // a plausible header. Not deliverable, not (yet) an error.
-    *outcome = FrameRead::kAtEnd;
-    return Status::OK();
-  }
-  record->lsn = lsn;
-  record->payload = covered.substr(8);
-  offset_ += kRecordFrameBytes + len;
+  // Short or failing the CRC at another LSN: garbage bytes beyond the
+  // durable prefix (a durable record is never torn). Not deliverable,
+  // not (yet) an error.
+  if (check != FrameCheck::kOk) return Status::OK();
+  record->lsn = frame.lsn;
+  record->payload.assign(frame.payload);
+  offset_ += frame.frame_bytes();
   *outcome = FrameRead::kOk;
   return Status::OK();
 }
@@ -176,8 +116,8 @@ Status WalTailer::Seek(uint64_t start_lsn, uint64_t durable_next_lsn) {
   }
   next_lsn_ = start_lsn;
 
-  std::vector<std::pair<uint64_t, std::string>> segments;
-  ANKER_RETURN_IF_ERROR(ListSegments(&segments));
+  std::vector<SegmentFile> segments;
+  ANKER_RETURN_IF_ERROR(ListSegments(wal_dir_, &segments));
   if (segments.empty()) {
     // No segments yet (writer racing its first OpenSegment); Poll will
     // discover them.
@@ -193,20 +133,20 @@ Status WalTailer::Seek(uint64_t start_lsn, uint64_t durable_next_lsn) {
   // Pick the newest segment whose first record is at or below start_lsn.
   // Segments hold contiguous LSN ranges, so that segment (if any)
   // contains the resume point.
-  ssize_t target = -1;
+  const SegmentFile* target = nullptr;
   uint64_t oldest_first = 0;  // Oldest record LSN on disk (0 = none).
-  for (size_t i = 0; i < segments.size(); ++i) {
-    ANKER_RETURN_IF_ERROR(
-        OpenSegmentFile(segments[i].first, segments[i].second));
-    char head[kRecordFrameBytes];
-    const ssize_t n = PreadFully(fd_, head, sizeof(head), offset_);
-    if (n < static_cast<ssize_t>(sizeof(head))) continue;  // No records.
-    const uint64_t first_lsn = LoadU64(head + 8);
-    if (oldest_first == 0) oldest_first = first_lsn;
-    if (first_lsn <= start_lsn) target = static_cast<ssize_t>(i);
+  for (const SegmentFile& segment : segments) {
+    ANKER_RETURN_IF_ERROR(OpenSegmentFile(segment));
+    WalFrame first;
+    FrameCheck check = FrameCheck::kTruncated;
+    auto present = ReadFrameBytes(kRecordFrameBytes, &first, &check);
+    if (!present.ok()) return present.status();
+    if (!present.value()) continue;  // No records.
+    if (oldest_first == 0) oldest_first = first.lsn;
+    if (first.lsn <= start_lsn) target = &segment;
   }
 
-  if (target < 0) {
+  if (target == nullptr) {
     if (oldest_first != 0) {
       CloseFile();
       return Status::OutOfRange("WAL history truncated before requested LSN");
@@ -218,22 +158,21 @@ Status WalTailer::Seek(uint64_t start_lsn, uint64_t durable_next_lsn) {
       CloseFile();
       return Status::OutOfRange("WAL history truncated before requested LSN");
     }
-    return OpenSegmentFile(segments.back().first, segments.back().second);
+    return OpenSegmentFile(segments.back());
   }
 
-  ANKER_RETURN_IF_ERROR(OpenSegmentFile(segments[static_cast<size_t>(target)].first,
-                                        segments[static_cast<size_t>(target)].second));
+  ANKER_RETURN_IF_ERROR(OpenSegmentFile(*target));
   // Walk frames until the resume point; Poll's lsn < next_lsn_ skip
   // handles anything this coarse walk leaves behind.
   for (;;) {
-    char head[kRecordFrameBytes];
-    const ssize_t n = PreadFully(fd_, head, sizeof(head), offset_);
-    if (n < static_cast<ssize_t>(sizeof(head))) break;  // Tail of segment.
-    const uint32_t len = LoadU32(head);
-    const uint64_t lsn = LoadU64(head + 8);
-    if (len > kMaxRecordBytes) break;  // Mid-write garbage; stop here.
-    if (lsn >= start_lsn) break;
-    offset_ += kRecordFrameBytes + len;
+    WalFrame frame;
+    FrameCheck check = FrameCheck::kTruncated;
+    auto present = ReadFrameBytes(kRecordFrameBytes, &frame, &check);
+    if (!present.ok()) return present.status();
+    if (!present.value()) break;                 // Tail of segment.
+    if (check == FrameCheck::kBadLength) break;  // Mid-write garbage.
+    if (frame.lsn >= start_lsn) break;
+    offset_ += frame.frame_bytes();
   }
   return Status::OK();
 }
@@ -241,11 +180,10 @@ Status WalTailer::Seek(uint64_t start_lsn, uint64_t durable_next_lsn) {
 Status WalTailer::Poll(uint64_t durable_limit, size_t max_bytes,
                        std::vector<TailRecord>* out) {
   if (fd_ < 0) {
-    std::vector<std::pair<uint64_t, std::string>> segments;
-    ANKER_RETURN_IF_ERROR(ListSegments(&segments));
+    std::vector<SegmentFile> segments;
+    ANKER_RETURN_IF_ERROR(ListSegments(wal_dir_, &segments));
     if (segments.empty()) return Status::OK();
-    ANKER_RETURN_IF_ERROR(
-        OpenSegmentFile(segments.front().first, segments.front().second));
+    ANKER_RETURN_IF_ERROR(OpenSegmentFile(segments.front()));
   }
   size_t bytes = 0;
   while (bytes < max_bytes) {
@@ -256,18 +194,13 @@ Status WalTailer::Poll(uint64_t durable_limit, size_t max_bytes,
     if (outcome == FrameRead::kAtEnd) {
       // Maybe the writer rotated: the successor segment only exists once
       // this one was closed at a record boundary.
-      std::vector<std::pair<uint64_t, std::string>> segments;
-      ANKER_RETURN_IF_ERROR(ListSegments(&segments));
-      const uint64_t next_seq = seq_ + 1;
-      bool advanced = false;
-      for (const auto& [seq, path] : segments) {
-        if (seq == next_seq) {
-          ANKER_RETURN_IF_ERROR(OpenSegmentFile(seq, path));
-          advanced = true;
-          break;
-        }
-      }
-      if (!advanced) return Status::OK();  // Live tail; nothing more yet.
+      std::vector<SegmentFile> segments;
+      ANKER_RETURN_IF_ERROR(ListSegments(wal_dir_, &segments));
+      const auto next = std::find_if(
+          segments.begin(), segments.end(),
+          [&](const SegmentFile& s) { return s.seq == seq_ + 1; });
+      if (next == segments.end()) return Status::OK();  // Live tail.
+      ANKER_RETURN_IF_ERROR(OpenSegmentFile(*next));
       continue;
     }
     if (record.lsn < next_lsn_) continue;  // Already delivered; skip.

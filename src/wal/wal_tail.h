@@ -75,11 +75,14 @@ class WalTailer {
   uint64_t next_lsn() const { return next_lsn_; }
 
  private:
-  /// Lists wal-*.log segments as sorted (seq, path) pairs.
-  Status ListSegments(std::vector<std::pair<uint64_t, std::string>>* out);
-  /// Opens segment `seq` and validates its header; positions after it.
-  Status OpenSegmentFile(uint64_t seq, const std::string& path);
+  /// Opens `segment` and validates its header; positions after it.
+  Status OpenSegmentFile(const SegmentFile& segment);
   void CloseFile();
+  /// Reads up to `len` bytes at offset_ into frame_buf_ and decodes the
+  /// frame they start (`check`; the header fields even for a bad frame).
+  /// False when fewer than kRecordFrameBytes are written there.
+  Result<bool> ReadFrameBytes(size_t len, WalFrame* frame,
+                              FrameCheck* check);
   /// Reads one frame at offset_. Outcomes:
   ///  kOk      — *record filled, offset_ advanced;
   ///  kAtEnd   — clean end of written bytes (maybe rotation, maybe live);
@@ -93,6 +96,7 @@ class WalTailer {
   uint64_t seq_ = 0;        ///< Segment currently open (0 = none).
   uint64_t offset_ = 0;     ///< Next unread byte in that segment.
   uint64_t next_lsn_ = 1;   ///< Next LSN to deliver (skip filter).
+  std::string frame_buf_;   ///< One frame's bytes, reused across reads.
 };
 
 }  // namespace anker::wal

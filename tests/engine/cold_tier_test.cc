@@ -14,7 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault_injector.h"
 #include "engine/database.h"
+#include "wal/checkpoint.h"
 #include "wal/io_util.h"
 
 namespace anker::engine {
@@ -167,6 +169,67 @@ TEST_P(ColdTierTest, RecoveryResolvesExtentBackedCheckpoints) {
     EXPECT_GT(again.value().extent_bytes_reused, 0u);
   }
   db->Stop();
+}
+
+TEST_P(ColdTierTest, FailedCheckpointLeavesThePreviousOneLive) {
+  // Only the heterogeneous checkpoint publishes extents (from a clean
+  // snapshot); the homogeneous one resolves every column in full.
+  if (GetParam() != txn::ProcessingMode::kHeterogeneousSerializable) {
+    GTEST_SKIP() << "no extent publication in this mode's checkpoint";
+  }
+  DatabaseConfig config = ColdConfig();
+  config.snapshot_interval_commits = 1;
+  uint64_t digest = 0;
+  {
+    auto db = std::make_unique<Database>(config);
+    storage::Table* table = Load(db.get());
+    db->Start();
+    auto first = db->Checkpoint();
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    const auto commit = [&](int i) {
+      auto txn = db->BeginOltp();
+      txn->Write(table->GetColumn("balance"),
+                 static_cast<uint64_t>(i * 1021 % kRows),
+                 storage::EncodeInt64(-i));
+      ASSERT_TRUE(db->Commit(txn.get()).ok());
+    };
+    for (int i = 1; i <= 5; ++i) commit(i);
+    // An OLAP transaction on the newest epoch seals the commits' versions
+    // into its snapshot, so the next checkpoint's snapshot is clean and
+    // republishes the segments the commits dirtied.
+    auto olap = db->BeginOlap({table->GetColumn("balance")});
+    ASSERT_TRUE(olap.ok()) << olap.status().ToString();
+    ASSERT_TRUE(db->FinishOlap(olap.TakeValue()).ok());
+
+    // Every extent publication now fails, so the checkpoint must too —
+    // without flipping CURRENT or leaving its temp directory behind.
+    FaultInjector::Instance().ArmForTest("extent.publish.pre:fail:1.0", 1);
+    auto failed = db->Checkpoint();
+    FaultInjector::Instance().ArmForTest("", 0);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kIoError)
+        << failed.status().ToString();
+    std::string live;
+    ASSERT_TRUE(wal::CheckpointReader::ReadManifest(dir_, &live).ok());
+    EXPECT_EQ(live, first.value().directory);
+    std::vector<std::string> names;
+    ASSERT_TRUE(wal::ListDir(dir_, &names).ok());
+    for (const std::string& name : names) {
+      EXPECT_FALSE(name.rfind("ckpt-", 0) == 0 &&
+                   name.size() > 4 &&
+                   name.compare(name.size() - 4, 4, ".tmp") == 0)
+          << "leftover " << name;
+    }
+
+    for (int i = 6; i <= 10; ++i) commit(i);
+    digest = db->ContentDigest();
+    db->Stop();
+  }
+  auto reopened = Database::Open(config);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  reopened.value()->Start();
+  EXPECT_EQ(reopened.value()->ContentDigest(), digest);
+  reopened.value()->Stop();
 }
 
 TEST_P(ColdTierTest, FinishOlapEnforcementReturnsUnderConcurrentWriters) {

@@ -18,6 +18,7 @@
 #include "server/replication.h"
 #include "server/server.h"
 #include "storage/value.h"
+#include "wal/checkpoint.h"
 #include "wal/io_util.h"
 
 namespace anker::server {
@@ -188,6 +189,109 @@ TEST_F(ReplicationE2eTest, BootstrapStreamReadYourWritesPromote) {
   auto after = replica->Read("acct", "bal", 9);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.value(), storage::EncodeInt64(777));
+}
+
+TEST_F(ReplicationE2eTest, ReplicaBootstrapsFromAColdTierCheckpoint) {
+  // Every primary column lives in extents, so its checkpoint references
+  // them by id instead of carrying column bytes: the transfer must ship
+  // the referenced extent files next to the checkpoint directory.
+  engine::DatabaseConfig config = DbConfig("primary");
+  config.cold_budget_bytes = 1;
+  config.cold_segment_rows = 1024;
+  auto opened = engine::Database::Open(config);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  primary_db_ = opened.TakeValue();
+  auto created = primary_db_->CreateTable(
+      "acct", {{"bal", storage::ValueType::kInt64}}, 5000);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  for (size_t row = 0; row < 5000; ++row) {
+    created.value()->GetColumn("bal")->LoadValue(
+        row, storage::EncodeInt64(static_cast<int64_t>(row * 7 % 1000)));
+  }
+  primary_db_->Start();
+  ASSERT_TRUE(primary_db_->SpillColdData().ok());
+  ASSERT_TRUE(primary_db_->Checkpoint().ok());
+  ServerConfig server_config;
+  primary_server_ = std::make_unique<Server>(primary_db_.get(), server_config);
+  ASSERT_TRUE(primary_server_->Start().ok());
+
+  ASSERT_TRUE(
+      ReplicaController::Bootstrap(MakeReplicaConfig(), dir_ + "/replica")
+          .ok());
+  auto manifest =
+      wal::CheckpointReader::ReadManifest(dir_ + "/replica", nullptr);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  EXPECT_FALSE(manifest.value().extents.empty())
+      << "the bootstrap checkpoint should reference extents";
+
+  auto replica = engine::Database::Open(DbConfig("replica"));
+  ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+  replica_db_ = replica.TakeValue();
+  replica_db_->Start();
+  EXPECT_EQ(replica_db_->ContentDigest(), primary_db_->ContentDigest());
+}
+
+TEST_F(ReplicationE2eTest, TransferShipsOnlyWhatTheVerifiedManifestNames) {
+  engine::DatabaseConfig config = DbConfig("primary");
+  config.cold_budget_bytes = 1;
+  config.cold_segment_rows = 1024;
+  auto opened = engine::Database::Open(config);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  primary_db_ = opened.TakeValue();
+  auto created = primary_db_->CreateTable(
+      "acct", {{"bal", storage::ValueType::kInt64}}, 3000);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  created.value()->CreatePrimaryIndex(16);
+  ASSERT_TRUE(created.value()->primary_index()->Insert(7, 7).ok());
+  primary_db_->Start();
+  ASSERT_TRUE(primary_db_->SpillColdData().ok());
+  ASSERT_TRUE(primary_db_->Checkpoint().ok());
+  // Files the manifest does not name stay home: an unreferenced extent
+  // and an in-flight publication.
+  const std::string data_dir = config.data_dir;
+  ASSERT_TRUE(
+      wal::AtomicWriteFile(data_dir + "/extents/ext-999.ext", "x").ok());
+  ASSERT_TRUE(
+      wal::AtomicWriteFile(data_dir + "/extents/ext-1000.ext.tmp", "x").ok());
+
+  std::string wire;
+  ASSERT_TRUE(EncodeCheckpointStream(data_dir, &wire).ok());
+  std::vector<std::string> files;
+  std::string_view rest(wire);
+  while (!rest.empty()) {
+    std::string_view payload;
+    size_t consumed = 0;
+    ASSERT_EQ(DecodeFrame(rest, &payload, &consumed), FrameStatus::kOk);
+    rest.remove_prefix(consumed);
+    if (static_cast<Op>(payload[0]) != Op::kCkptChunk) continue;
+    CkptChunkMsg chunk;
+    ASSERT_TRUE(DecodeCkptChunk(payload.substr(1), &chunk).ok());
+    if (files.empty() || files.back() != chunk.file) {
+      files.push_back(chunk.file);
+    }
+  }
+  std::string ckpt_path;
+  auto manifest = wal::CheckpointReader::ReadManifest(data_dir, &ckpt_path);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  const std::string ckpt = ckpt_path.substr(data_dir.size() + 1);
+  std::vector<std::string> expected = {ckpt + "/MANIFEST", ckpt + "/t0.c0",
+                                       ckpt + "/t0.idx"};
+  for (const uint64_t id : manifest.value().extents) {
+    expected.push_back("extents/ext-" + std::to_string(id) + ".ext");
+  }
+  expected.push_back("CURRENT");
+  EXPECT_EQ(files, expected);
+  EXPECT_FALSE(manifest.value().extents.empty());
+
+  // A manifest that fails its CRC is never shipped.
+  std::string bytes;
+  ASSERT_TRUE(wal::ReadFile(ckpt_path + "/MANIFEST", &bytes).ok());
+  bytes[bytes.size() / 2] ^= 0x20;
+  ASSERT_TRUE(wal::AtomicWriteFile(ckpt_path + "/MANIFEST", bytes).ok());
+  std::string refused;
+  EXPECT_EQ(EncodeCheckpointStream(data_dir, &refused).code(),
+            StatusCode::kIoError);
+  EXPECT_TRUE(refused.empty());
 }
 
 TEST_F(ReplicationE2eTest, PartitionDegradesToStaleReadsThenHeals) {

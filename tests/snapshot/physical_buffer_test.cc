@@ -11,7 +11,6 @@ namespace {
 TEST(PlainBufferTest, NoSnapshotSupport) {
   auto buffer = PlainBuffer::Create(vm::kPageSize);
   ASSERT_TRUE(buffer.ok());
-  EXPECT_FALSE(buffer.value()->SupportsSnapshots());
   EXPECT_FALSE(buffer.value()->TakeSnapshot().ok());
   EXPECT_STREQ(buffer.value()->name(), "plain");
 }

@@ -17,6 +17,8 @@
 
 #include "common/rng.h"
 #include "storage/extent_codec.h"
+#include "wal/crc32c.h"
+#include "wal/wal_format.h"
 
 namespace anker::storage {
 namespace {
@@ -106,6 +108,23 @@ TEST(ExtentCodecTest, EmptyExtentRoundTrips) {
   std::string frame = EncodeExtent(nullptr, 0, ValueType::kDouble, nullptr);
   std::vector<uint64_t> decoded{42};
   ASSERT_TRUE(DecodeExtent(frame, &decoded).ok());
+  EXPECT_TRUE(decoded.empty());
+
+  // The encoder never picks the dictionary for zero rows, but a
+  // well-formed zero-row frame with an empty dictionary decodes too.
+  std::string dict_frame;
+  wal::PutU32(&dict_frame, kExtentMagic);
+  wal::PutU8(&dict_frame, kExtentVersion);
+  wal::PutU8(&dict_frame, static_cast<uint8_t>(ExtentEncoding::kDictU64));
+  wal::PutU8(&dict_frame, 0);
+  wal::PutU8(&dict_frame, 0);
+  wal::PutU64(&dict_frame, 0);  // rows
+  wal::PutU64(&dict_frame, 4);  // payload: the entry count alone
+  wal::PutU32(&dict_frame, 0);  // dictionary entries
+  wal::PutU32(&dict_frame, wal::MaskCrc(wal::Crc32c(0, dict_frame.data(),
+                                                    dict_frame.size())));
+  decoded = {42};
+  ASSERT_TRUE(DecodeExtent(dict_frame, &decoded).ok());
   EXPECT_TRUE(decoded.empty());
 }
 

@@ -5,12 +5,16 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "wal/io_util.h"
+#include "wal/log_reader.h"
 #include "wal/log_writer.h"
 #include "wal/wal_tail.h"
 
@@ -292,6 +296,164 @@ TEST_F(WalTailTest, ReplicatedAppendsPreserveForeignLsns) {
   EXPECT_EQ(got.front().lsn, 41u);
   EXPECT_EQ(got.back().lsn, 45u);
   writer.Stop();
+}
+
+// The tail and recovery read one frame format through one decoder, but
+// each keeps its own policy for a bad frame: recovery stops at it, the
+// tail fails with IoError when the frame is durable and due, and waits
+// when it is not. These drive every such branch on a hand-damaged log.
+class DamagedTailTest : public WalTailTest {
+ protected:
+  static constexpr size_t kPayloadBytes = 37;  // Payload(i): one write.
+  static constexpr size_t kFrameBytes = kRecordFrameBytes + kPayloadBytes;
+
+  /// Byte offset of record `lsn`'s frame in the one segment WriteLog
+  /// makes.
+  static size_t FrameOffset(uint64_t lsn) {
+    return kSegmentHeaderBytes + (lsn - 1) * kFrameBytes;
+  }
+
+  /// Writes records with the given LSNs into segment 1 and returns the
+  /// segment's path.
+  std::string WriteLog(const std::vector<uint64_t>& lsns) {
+    LogWriterOptions options;
+    options.mode = DurabilityMode::kGroupCommit;
+    LogWriter writer(wal_dir_, options);
+    EXPECT_TRUE(writer.Open(1).ok());
+    for (const uint64_t lsn : lsns) {
+      EXPECT_EQ(Payload(static_cast<int>(lsn)).size(), kPayloadBytes);
+      writer.AppendReplicated(Payload(static_cast<int>(lsn)),
+                              static_cast<mvcc::Timestamp>(lsn), lsn);
+    }
+    EXPECT_TRUE(writer.Sync().ok());
+    writer.Stop();
+    return wal_dir_ + "/" + SegmentFileName(1);
+  }
+
+  /// Overwrites the segment with `edit` applied to its bytes.
+  static void Damage(const std::string& path,
+                     const std::function<void(std::string*)>& edit) {
+    std::string data;
+    ASSERT_TRUE(ReadFile(path, &data).ok());
+    edit(&data);
+    ASSERT_TRUE(AtomicWriteFile(path, data).ok());
+  }
+
+  /// Seeks to LSN 1 and polls once up to `durable_limit`; returns the
+  /// delivered LSNs, the Poll status in `*status`.
+  std::vector<uint64_t> TailLsns(uint64_t durable_limit, Status* status) {
+    WalTailer tail(wal_dir_);
+    *status = tail.Seek(1, durable_limit + 1);
+    std::vector<uint64_t> lsns;
+    if (!status->ok()) return lsns;
+    std::vector<TailRecord> got;
+    *status = tail.Poll(durable_limit, SIZE_MAX, &got);
+    for (const TailRecord& r : got) lsns.push_back(r.lsn);
+    return lsns;
+  }
+
+  /// The LSNs recovery's scan delivers (no repair).
+  std::vector<uint64_t> ScanLsns() {
+    std::vector<uint64_t> lsns;
+    auto scanned = LogReader::Scan(
+        wal_dir_,
+        [&](uint64_t lsn, const WalRecord&) {
+          lsns.push_back(lsn);
+          return Status::OK();
+        },
+        /*repair=*/false);
+    EXPECT_TRUE(scanned.ok()) << scanned.status().ToString();
+    return lsns;
+  }
+};
+
+TEST_F(DamagedTailTest, BadSegmentHeaderIsAnIoError) {
+  const std::string path = WriteLog({1, 2, 3});
+  Damage(path, [](std::string* d) { (*d)[0] ^= 0x01; });  // Magic.
+  WalTailer tail(wal_dir_);
+  EXPECT_EQ(tail.Seek(1, 4).code(), StatusCode::kIoError);
+  WalTailer unpositioned(wal_dir_);
+  std::vector<TailRecord> got;
+  EXPECT_EQ(unpositioned.Poll(3, SIZE_MAX, &got).code(),
+            StatusCode::kIoError);
+  EXPECT_TRUE(got.empty());
+}
+
+TEST_F(DamagedTailTest, ImplausibleLengthAtADurableLsnIsAnIoError) {
+  const std::string path = WriteLog({1, 2, 3});
+  Damage(path, [](std::string* d) {
+    const uint32_t huge = kMaxRecordBytes + 1;
+    std::memcpy(d->data() + FrameOffset(2), &huge, sizeof(huge));
+  });
+  Status status;
+  EXPECT_EQ(TailLsns(3, &status), (std::vector<uint64_t>{1}));
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+}
+
+TEST_F(DamagedTailTest, ChecksumMismatchAtTheNextLsnIsAnIoError) {
+  const std::string path = WriteLog({1, 2, 3});
+  Damage(path, [](std::string* d) {
+    (*d)[FrameOffset(2) + kRecordFrameBytes + 3] ^= 0x10;
+  });
+  Status status;
+  EXPECT_EQ(TailLsns(3, &status), (std::vector<uint64_t>{1}));
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+}
+
+TEST_F(DamagedTailTest, RecordsAboveTheDurableLimitWaitForALaterPoll) {
+  WriteLog({1, 2, 3, 4, 5});  // All five are on disk.
+  WalTailer tail(wal_dir_);
+  ASSERT_TRUE(tail.Seek(1, 4).ok());
+  std::vector<TailRecord> got;
+  ASSERT_TRUE(tail.Poll(3, SIZE_MAX, &got).ok());
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got.back().lsn, 3u);
+  got.clear();
+  ASSERT_TRUE(tail.Poll(3, SIZE_MAX, &got).ok());
+  EXPECT_TRUE(got.empty());
+  ASSERT_TRUE(tail.Poll(5, SIZE_MAX, &got).ok());
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got.front().lsn, 4u);
+  EXPECT_EQ(got.back().lsn, 5u);
+  EXPECT_EQ(tail.next_lsn(), 6u);
+}
+
+TEST_F(DamagedTailTest, LsnGapIsAnIoError) {
+  WriteLog({1, 2, 4});
+  Status status;
+  EXPECT_EQ(TailLsns(4, &status), (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+}
+
+TEST_F(DamagedTailTest, RecoveryAndTailDeliverTheSamePrefix) {
+  const std::vector<std::pair<std::string,
+                              std::function<void(std::string*)>>>
+      damages = {
+          {"flipped payload byte",
+           [](std::string* d) {
+             (*d)[FrameOffset(3) + kRecordFrameBytes + 5] ^= 0x04;
+           }},
+          {"flipped LSN byte",
+           [](std::string* d) { (*d)[FrameOffset(3) + 8] ^= 0x01; }},
+          {"implausible length",
+           [](std::string* d) {
+             const uint32_t huge = 0xFFFFFFFFu;
+             std::memcpy(d->data() + FrameOffset(3), &huge, sizeof(huge));
+           }},
+          {"truncated frame",
+           [](std::string* d) { d->resize(FrameOffset(3) + 20); }},
+      };
+  for (const auto& [name, damage] : damages) {
+    SCOPED_TRACE(name);
+    RemoveDirRecursive(wal_dir_);
+    const std::string path = WriteLog({1, 2, 3, 4, 5});
+    Damage(path, damage);
+    Status tail_status;
+    const std::vector<uint64_t> tailed = TailLsns(5, &tail_status);
+    EXPECT_EQ(ScanLsns(), (std::vector<uint64_t>{1, 2}));
+    EXPECT_EQ(tailed, (std::vector<uint64_t>{1, 2}))
+        << tail_status.ToString();
+  }
 }
 
 }  // namespace

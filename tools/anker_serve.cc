@@ -26,7 +26,7 @@
 #include "engine/database.h"
 #include "server/replication.h"
 #include "server/server.h"
-#include "wal/io_util.h"
+#include "wal/checkpoint.h"
 
 namespace {
 
@@ -129,10 +129,7 @@ int main(int argc, char** argv) {
     // An empty data_dir bootstraps from the primary's newest checkpoint;
     // one with local state recovers locally and resumes the stream from
     // its own applied watermark.
-    const bool has_state =
-        wal::PathExists(config.data_dir + "/CURRENT") ||
-        wal::PathExists(config.data_dir + "/wal");
-    if (!has_state) {
+    if (!wal::HasDurableState(config.data_dir)) {
       std::printf("BOOTSTRAP from=%s\n", replica_of.c_str());
       std::fflush(stdout);
       const Status fetched =
