@@ -10,8 +10,9 @@
 
 namespace anker {
 
-/// Fixed-size bitmap used to track dirty pages per snapshot epoch and
-/// versioned rows per block. Not thread-safe; callers synchronize.
+/// Fixed-size bitmap used to track dirty pages per snapshot epoch. Not
+/// thread-safe; callers synchronize — except that TestAcquire may race
+/// SetRelease (see there).
 class Bitmap {
  public:
   Bitmap() = default;
@@ -39,6 +40,26 @@ class Bitmap {
     const uint64_t mask = 1ULL << (i & 63);
     if (!(w & mask)) {
       w |= mask;
+      ++popcount_;
+    }
+  }
+
+  /// Lock-free test paired with SetRelease: a reader that sees the bit
+  /// also sees everything the setter did before publishing it.
+  bool TestAcquire(size_t i) const {
+    ANKER_CHECK(i < num_bits_);
+    return (__atomic_load_n(&words_[i >> 6], __ATOMIC_ACQUIRE) >> (i & 63)) &
+           1;
+  }
+
+  /// Set that publishes with release ordering, for bitmaps whose bits are
+  /// tested lock-free (TestAcquire) while setters stay serialized by the
+  /// caller's mutex.
+  void SetRelease(size_t i) {
+    ANKER_CHECK(i < num_bits_);
+    const uint64_t mask = 1ULL << (i & 63);
+    if (!(words_[i >> 6] & mask)) {
+      __atomic_fetch_or(&words_[i >> 6], mask, __ATOMIC_RELEASE);
       ++popcount_;
     }
   }

@@ -33,8 +33,12 @@ SnapshotManager::~SnapshotManager() {
 
 void SnapshotManager::TriggerEpoch() {
   const mvcc::Timestamp ts = oracle_->Next();
-  std::lock_guard<std::mutex> guard(mutex_);
-  pending_epoch_ts_ = ts;
+  // Triggers race (commit hook, checkpoint): keep the newest.
+  mvcc::Timestamp seen = pending_epoch_ts_.load(std::memory_order_relaxed);
+  while (seen < ts && !pending_epoch_ts_.compare_exchange_weak(
+                          seen, ts, std::memory_order_release,
+                          std::memory_order_relaxed)) {
+  }
 }
 
 Result<std::unique_ptr<SnapshotHandle>> SnapshotManager::Acquire(
@@ -45,11 +49,11 @@ Result<std::unique_ptr<SnapshotHandle>> SnapshotManager::Acquire(
   // very first epoch on demand. Advancing makes older unreferenced epochs
   // obsolete — drop them immediately (paper Fig. 1 step 8) so their views
   // stop costing copy-on-write work on every later flush.
+  const mvcc::Timestamp pending =
+      pending_epoch_ts_.load(std::memory_order_acquire);
   if (epochs_.empty() ||
-      (pending_epoch_ts_ != 0 &&
-       epochs_.back()->epoch_ts() < pending_epoch_ts_)) {
-    const mvcc::Timestamp ts =
-        pending_epoch_ts_ != 0 ? pending_epoch_ts_ : oracle_->Next();
+      (pending != 0 && epochs_.back()->epoch_ts() < pending)) {
+    const mvcc::Timestamp ts = pending != 0 ? pending : oracle_->Next();
     epochs_.push_back(std::make_unique<SnapshotEpoch>(ts));
     RetireUnreferencedLocked();
   }

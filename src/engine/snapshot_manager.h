@@ -1,6 +1,7 @@
 #ifndef ANKER_ENGINE_SNAPSHOT_MANAGER_H_
 #define ANKER_ENGINE_SNAPSHOT_MANAGER_H_
 
+#include <atomic>
 #include <deque>
 #include <map>
 #include <memory>
@@ -98,6 +99,9 @@ class SnapshotManager {
   ANKER_DISALLOW_COPY_AND_MOVE(SnapshotManager);
 
   /// Logs a new snapshot timestamp (no materialization happens here).
+  /// Lock-free: the commit hook calls it inside the commit mutex, behind
+  /// which committers wait holding column latches, while Acquire holds
+  /// mutex_ waiting for one of those latches exclusively.
   void TriggerEpoch();
 
   /// Returns a handle on the newest epoch with all `columns` materialized.
@@ -121,7 +125,8 @@ class SnapshotManager {
   mvcc::ActiveTxnRegistry* registry_;
 
   mutable std::mutex mutex_;
-  mvcc::Timestamp pending_epoch_ts_ = 0;  ///< Logged trigger, 0 = none.
+  /// Newest logged trigger, 0 = none. Only ever grows.
+  std::atomic<mvcc::Timestamp> pending_epoch_ts_{0};
   std::deque<std::unique_ptr<SnapshotEpoch>> epochs_;  ///< Oldest first.
   size_t total_materializations_ = 0;
 };

@@ -70,8 +70,8 @@ ChainDirectory::~ChainDirectory() {
 ChainDirectory::Block* ChainDirectory::GetOrCreateBlock(size_t block_idx) {
   Block* block = blocks_[block_idx].load(std::memory_order_acquire);
   if (block != nullptr) return block;
-  // Single-writer contract: no CAS needed, but keep it anyway so misuse
-  // fails safe rather than leaking.
+  // Committers create blocks concurrently (EnsureBlock runs before the
+  // commit mutex): the CAS loser frees its copy and takes the winner's.
   Block* fresh = new Block();
   Block* expected = nullptr;
   if (blocks_[block_idx].compare_exchange_strong(expected, fresh,

@@ -167,9 +167,11 @@ struct BlockInfo {
 /// started before the epoch. Dropping the snapshot drops the directory and
 /// with it all its chains — the paper's implicit garbage collection.
 ///
-/// Thread model: a single writer at a time (the engine's commit section);
-/// any number of concurrent readers. Readers must read the column slot
-/// *before* resolving the chain (see ResolveVisible).
+/// Thread model: AddVersion has a single writer at a time (the engine's
+/// commit section); EnsureBlock may run on any number of committers at
+/// once, ahead of that section; any number of concurrent readers. Readers
+/// must read the column slot *before* resolving the chain (see
+/// ResolveVisible).
 class ChainDirectory {
  public:
   ChainDirectory(size_t num_rows, std::shared_ptr<ChainDirectory> prev);
@@ -179,6 +181,14 @@ class ChainDirectory {
   /// Pushes `old_value` (overwritten at `commit_ts`) onto row's chain.
   /// Single-writer only.
   void AddVersion(size_t row, uint64_t old_value, Timestamp commit_ts);
+
+  /// Creates `row`'s metadata block if it does not exist yet, so the
+  /// AddVersion that follows skips the allocation. Safe from any number
+  /// of threads at once: the block is published with a CAS.
+  void EnsureBlock(size_t row) {
+    ANKER_CHECK(row < num_rows_);
+    GetOrCreateBlock(row / kRowsPerBlock);
+  }
 
   /// Newest chain node of `row` in this segment, or nullptr.
   const VersionNode* Head(size_t row) const;

@@ -61,9 +61,15 @@ struct BufferStats {
 ///   VmSnapshotBuffer - emulated vm_snapshot system call  [paper's system]
 ///
 /// Write contract: all mutation must go through StoreU64/WriteSpan (or be
-/// followed by MarkDirty) so backends that track dirtiness see every write.
-/// Concurrent writers must be serialized by the caller (the engine commits
-/// under a latch); concurrent readers of the current view are allowed.
+/// preceded by MarkDirty) so backends that track dirtiness see every
+/// write. MarkDirty may run on several threads at once and returns only
+/// once the range is safe to store into; the engine calls it ahead of the
+/// commit mutex (Column::PrepareWrite) so a snapshot's page copies are
+/// paid outside the critical section. Stores must be serialized by the
+/// caller (the engine stores under its commit mutex), and no MarkDirty or
+/// store may overlap TakeSnapshot (the engine holds the column latch
+/// shared across both, and exclusive to snapshot). Concurrent readers of
+/// the current view are allowed.
 class SnapshotableBuffer {
  public:
   virtual ~SnapshotableBuffer() = default;

@@ -46,15 +46,20 @@ void VmSnapshotBuffer::MarkDirty(size_t offset, size_t len) {
   size_t page = vm::PageIndex(offset);
   const size_t last = vm::PageIndex(offset + len - 1);
   // Fast path: every page was already copied into the live views by an
-  // earlier write of this epoch.
-  while (page <= last && dirty_.Test(page)) ++page;
+  // earlier write of this epoch. The acquire test pairs with the release
+  // set below, so a caller that sees the bit stores only after the
+  // copies it stands for have landed.
+  while (page <= last && dirty_.TestAcquire(page)) ++page;
   if (page > last) return;
   std::lock_guard<std::mutex> guard(views_mutex_);
   for (; page <= last; ++page) {
     if (dirty_.Test(page)) continue;
-    dirty_.Set(page);
     for (VmSnapshotView* view : live_views_) view->CopyPage(page);
     forced_cow_pages_ += live_views_.size();
+    // Published only after every live view holds its copy: a concurrent
+    // caller that saw the bit any earlier could store into the shared
+    // page before the copy and corrupt the snapshot.
+    dirty_.SetRelease(page);
   }
 }
 
@@ -135,7 +140,10 @@ void VmSnapshotBuffer::UnregisterView(VmSnapshotView* view) {
   live_views_.erase(it);
 }
 
-size_t VmSnapshotBuffer::DirtyPageCount() const { return dirty_.count(); }
+size_t VmSnapshotBuffer::DirtyPageCount() const {
+  std::lock_guard<std::mutex> guard(views_mutex_);
+  return dirty_.count();
+}
 
 size_t VmSnapshotBuffer::LiveViewCount() const {
   std::lock_guard<std::mutex> guard(views_mutex_);

@@ -28,9 +28,11 @@ class VmSnapshotView;
 ///  - MarkDirty runs before every store and is the copy-on-write hook: on
 ///    the first write to a page since the last snapshot it stores one word
 ///    of that page onto itself in every live view, so the OS copies the
-///    page into each view before the shared file page changes. Writers are
-///    serialized by the caller (SnapshotableBuffer's write contract), so
-///    nothing can change the page between that copy and the store.
+///    page into each view before the shared file page changes. Concurrent
+///    callers are allowed (committers pre-touch their rows outside the
+///    engine's commit mutex): the page's dirty bit is published only after
+///    every copy, and a caller that sees it set skips straight to its
+///    store. Stores themselves stay serialized by the caller.
 ///  - Each snapshot also drops the OLTP view's PTEs over the pages not
 ///    written since the previous snapshot (MADV_DONTNEED on a shared
 ///    mapping frees no data), so a column OLTP only reads is not mapped
@@ -92,10 +94,13 @@ class VmSnapshotBuffer : public SnapshotableBuffer {
   vm::Memfd file_;
   vm::MapRegion oltp_view_;
   size_t num_pages_ = 0;
-  Bitmap dirty_;  ///< Pages first written since the last snapshot.
+  /// Pages first written since the last snapshot (already copied into
+  /// every live view). Set under views_mutex_, tested lock-free by
+  /// MarkDirty's fast path, reset at TakeSnapshot with writers drained.
+  Bitmap dirty_;
 
-  /// Guards the view list and the counters below (stats() reads them from
-  /// other threads).
+  /// Guards the view list, the dirty bitmap's setters and the counters
+  /// below (stats() reads them from other threads).
   mutable std::mutex views_mutex_;
   std::vector<VmSnapshotView*> live_views_;
 

@@ -94,6 +94,20 @@ class Column {
     return versions_->ResolveVisible(row, start_ts, slot);
   }
 
+  /// Pays a write's first-touch costs ahead of the commit critical
+  /// section: the page copy into every live snapshot view (the buffer's
+  /// MarkDirty) and the row's block in the current version-chain segment.
+  /// The caller holds the column latch shared from here through
+  /// ApplyCommittedWrite, so no snapshot can start a new epoch in between
+  /// and the in-section calls take their fast paths. Any number of
+  /// committers may prepare at once. A cold segment is faulted in later,
+  /// by ApplyCommittedWrite: its pages cannot be shared with a live view
+  /// (snapshots pin their column resident).
+  void PrepareWrite(size_t row) {
+    buffer_->MarkDirty(row * sizeof(uint64_t), sizeof(uint64_t));
+    versions_->current()->EnsureBlock(row);
+  }
+
   /// Materializes a committed write: pushes the current value into the
   /// version chain, then overwrites the slot in place (newest-to-oldest
   /// order, paper Section 2.1). Must be called from the commit critical

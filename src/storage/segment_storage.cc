@@ -71,8 +71,8 @@ uint64_t ColumnSegments::Read(size_t row) {
     }
   }
   // Cold: fault the segment in under the column's exclusive latch. The
-  // restore writes through WriteSpan, whose dirty tracking is only safe
-  // with committers drained (they hold the latch shared). The segment
+  // restore stores through WriteSpan, which must not race a committer's
+  // stores (committers hold the latch shared). The segment
   // lock is NOT held while acquiring the latch — a committer blocked on
   // seg.mu while we waited for its latch would deadlock otherwise.
   ExclusiveGuard guard(*latch_);
@@ -89,9 +89,9 @@ std::unique_lock<std::mutex> ColumnSegments::BeginWrite(size_t row) {
   Segment& seg = SegmentFor(row);
   std::unique_lock<std::mutex> lock(seg.mu);
   if (seg.state.load(std::memory_order_relaxed) != kResident) {
-    // Write-side fault-in runs in contexts that already serialize dirty
-    // tracking (commit critical section or quiesced load), so no latch
-    // upgrade is needed here.
+    // Write-side fault-in runs in contexts that already serialize stores
+    // (commit critical section or quiesced load), so no latch upgrade is
+    // needed here.
     const Status s = FaultInLocked(seg);
     ANKER_CHECK_MSG(s.ok(), "cold segment fault-in failed on write");
   }

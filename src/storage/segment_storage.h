@@ -53,12 +53,14 @@ struct SegmentExtentRef {
 ///    a read that overlapped a release is discarded and retried slowly.
 ///    Eviction never changes logical content — only reads of released
 ///    (zeroed) pages must be excluded.
-///  - Fault-in restores bytes with WriteSpan, whose dirty tracking is
-///    not thread-safe against concurrent committers; reader-side
-///    fault-ins therefore take the column latch exclusively (draining
-///    committers) first. Write-side fault-ins already run serialized.
-///  - Lock order is always: column latch, then segment mutex. Disk IO
-///    (extent publication) happens outside both; captured bytes are
+///  - Fault-in restores bytes with WriteSpan, whose stores must be
+///    serialized with every committer's (the buffer's write contract);
+///    reader-side fault-ins therefore take the column latch exclusively
+///    (draining committers) first. Write-side fault-ins run inside the
+///    commit mutex, where stores are serialized already.
+///  - Lock order is always: column latch, then the engine's commit
+///    mutex (commits only), then segment mutex. Disk IO (extent
+///    publication) happens outside all of them; captured bytes are
 ///    tagged with the segment's dirty generation and the publication is
 ///    discarded if a write intervened.
 class ColumnSegments {
@@ -82,8 +84,8 @@ class ColumnSegments {
   /// cold and advances its dirty generation (invalidating any published
   /// extent). The returned lock is held by the caller across the slot
   /// store, so extent captures never see a torn write. Caller context
-  /// must serialize buffer dirty tracking — the commit path (latches
-  /// shared under the commit mutex) and quiesced loads both qualify.
+  /// must serialize buffer stores — the commit path (column latches
+  /// shared, then the commit mutex) and quiesced loads both qualify.
   std::unique_lock<std::mutex> BeginWrite(size_t row);
 
   /// Faults every segment in and pins the column resident; the returned
@@ -172,7 +174,7 @@ class ColumnSegments {
   /// eviction overlapped.
   bool TryReadFast(const Segment& seg, size_t row, uint64_t* out) const;
   /// Restores a cold segment's bytes from its extent. Caller holds
-  /// seg.mu and a context where WriteSpan's dirty tracking is safe (see
+  /// seg.mu and a context where WriteSpan's stores are serialized (see
   /// class comment).
   Status FaultInLocked(Segment& seg);
   void Touch(Segment& seg) {

@@ -16,6 +16,43 @@ const char* ProcessingModeName(ProcessingMode mode) {
   return "unknown";
 }
 
+namespace {
+
+/// Shared latches over the columns of one write set, plus each write's
+/// first-touch work (Column::PrepareWrite). Taken before the commit mutex:
+/// the lock order is column latches (address order), then commit_mutex_,
+/// everywhere. Snapshot materialization holds one exclusive latch at a
+/// time and no commit-side lock, so no cycle can form, and the shared
+/// hold keeps the epoch fixed between prepare and apply.
+class WriteSetLatches {
+ public:
+  template <typename Write>
+  explicit WriteSetLatches(const std::vector<Write>& writes) {
+    columns_.reserve(writes.size());
+    for (const Write& write : writes) columns_.push_back(write.column);
+    std::sort(columns_.begin(), columns_.end());
+    columns_.erase(std::unique(columns_.begin(), columns_.end()),
+                   columns_.end());
+    for (storage::Column* column : columns_) column->latch().LockShared();
+    for (const Write& write : writes) write.column->PrepareWrite(write.row);
+  }
+  ~WriteSetLatches() { Release(); }
+  ANKER_DISALLOW_COPY_AND_MOVE(WriteSetLatches);
+
+  /// Drops the latches early, once the writes are applied.
+  void Release() {
+    for (auto it = columns_.rbegin(); it != columns_.rend(); ++it) {
+      (*it)->latch().UnlockShared();
+    }
+    columns_.clear();
+  }
+
+ private:
+  std::vector<storage::Column*> columns_;
+};
+
+}  // namespace
+
 TransactionManager::TransactionManager(ProcessingMode mode) : mode_(mode) {}
 
 std::unique_ptr<Transaction> TransactionManager::Begin(TxnType type) {
@@ -62,6 +99,11 @@ Status TransactionManager::Commit(Transaction* txn) {
 
   uint64_t durable_lsn = 0;
   {
+    // Shared latches on every touched column make the commit atomic with
+    // respect to snapshot materialization (which drains updaters with the
+    // exclusive latch). The snapshot's page copies and the chain blocks
+    // are paid here, before the commit mutex, so committers overlap them.
+    WriteSetLatches latches(txn->writes());
     std::lock_guard<std::mutex> commit_guard(commit_mutex_);
 
     // 1. First-committer-wins: a newer committed write to any slot in our
@@ -96,21 +138,7 @@ Status TransactionManager::Commit(Transaction* txn) {
       }
     }
 
-    // 3. Materialize. Shared latches on every touched column make the
-    //    commit atomic with respect to snapshot materialization (which
-    //    drains updaters with the exclusive latch). Latches are acquired
-    //    in a canonical order; snapshot creation takes one exclusive latch
-    //    at a time, so no lock-order cycle exists.
-    std::vector<storage::Column*> columns;
-    columns.reserve(txn->writes().size());
-    for (const Transaction::LocalWrite& write : txn->writes()) {
-      columns.push_back(write.column);
-    }
-    std::sort(columns.begin(), columns.end());
-    columns.erase(std::unique(columns.begin(), columns.end()),
-                  columns.end());
-    for (storage::Column* column : columns) column->latch().LockShared();
-
+    // 3. Materialize under the latches taken above.
     const mvcc::Timestamp commit_ts = oracle_.Next();
     std::vector<WriteRecord> records;
     records.reserve(txn->writes().size());
@@ -123,10 +151,7 @@ Status TransactionManager::Commit(Transaction* txn) {
       records.push_back(
           WriteRecord{write.column, write.row, old_raw, write.new_raw});
     }
-
-    for (auto it = columns.rbegin(); it != columns.rend(); ++it) {
-      (*it)->latch().UnlockShared();
-    }
+    latches.Release();
 
     // Every write of this commit is materialized: make it visible to new
     // readers (commits serialize under commit_mutex_, so the watermark is
@@ -166,45 +191,18 @@ Status TransactionManager::Commit(Transaction* txn) {
 void TransactionManager::ReplayCommitted(
     const std::vector<Transaction::LocalWrite>& writes,
     mvcc::Timestamp commit_ts) {
+  WriteSetLatches latches(writes);
   std::lock_guard<std::mutex> commit_guard(commit_mutex_);
-  std::vector<storage::Column*> columns;
-  columns.reserve(writes.size());
-  for (const Transaction::LocalWrite& write : writes) {
-    columns.push_back(write.column);
-  }
-  std::sort(columns.begin(), columns.end());
-  columns.erase(std::unique(columns.begin(), columns.end()), columns.end());
-  for (storage::Column* column : columns) column->latch().LockShared();
-
   // Keep the logged timestamp: version chains and visibility must come
   // out exactly as they were when the record was written.
   oracle_.AdvanceTo(commit_ts);
   for (const Transaction::LocalWrite& write : writes) {
     write.column->ApplyCommittedWrite(write.row, write.new_raw, commit_ts);
   }
-
-  for (auto it = columns.rbegin(); it != columns.rend(); ++it) {
-    (*it)->latch().UnlockShared();
-  }
+  latches.Release();
   visible_ts_.store(commit_ts, std::memory_order_release);
   commit_count_.fetch_add(1, std::memory_order_relaxed);
 }
-
-namespace {
-
-std::vector<storage::Column*> SortedUniqueColumns(
-    const std::vector<mvcc::IntentWrite>& writes) {
-  std::vector<storage::Column*> columns;
-  columns.reserve(writes.size());
-  for (const mvcc::IntentWrite& write : writes) {
-    columns.push_back(write.column);
-  }
-  std::sort(columns.begin(), columns.end());
-  columns.erase(std::unique(columns.begin(), columns.end()), columns.end());
-  return columns;
-}
-
-}  // namespace
 
 Status TransactionManager::PrepareDistributed(
     uint64_t gtid, uint32_t primary_shard,
@@ -256,7 +254,12 @@ Status TransactionManager::CommitPrepared(uint64_t gtid,
   if (commit_ts == 0) {
     return Status::InvalidArgument("commit timestamp must be positive");
   }
-  {
+  for (;;) {
+    // The intent write set is fixed at prepare, so its columns are latched
+    // (and its rows prepared) before the commit mutex, like a commit's.
+    mvcc::PreparedTxn staged;
+    const bool was_staged = intents_.Get(gtid, &staged);
+    WriteSetLatches latches(staged.writes);
     std::lock_guard<std::mutex> commit_guard(commit_mutex_);
     mvcc::Timestamp decided_ts = 0;
     switch (intents_.OutcomeOf(gtid, &decided_ts)) {
@@ -267,14 +270,13 @@ Status TransactionManager::CommitPrepared(uint64_t gtid,
       case mvcc::TxnOutcome::kPending:
         break;
     }
+    // A prepare that landed after the lookup above: go again with its
+    // columns latched.
+    if (!was_staged && intents_.Get(gtid, &staged)) continue;
     mvcc::PreparedTxn txn;
     if (!intents_.Remove(gtid, &txn)) {
       return Status::NotFound("unknown prepared transaction");
     }
-
-    const std::vector<storage::Column*> columns =
-        SortedUniqueColumns(txn.writes);
-    for (storage::Column* column : columns) column->latch().LockShared();
 
     // Materialize at a locally drawn apply_ts >= the router's commit_ts,
     // NOT at commit_ts itself: the local oracle may already be past it,
@@ -295,9 +297,7 @@ Status TransactionManager::CommitPrepared(uint64_t gtid,
       records.push_back(
           WriteRecord{write.column, write.row, old_raw, write.new_raw});
     }
-    for (auto it = columns.rbegin(); it != columns.rend(); ++it) {
-      (*it)->latch().UnlockShared();
-    }
+    latches.Release();
     visible_ts_.store(apply_ts, std::memory_order_release);
 
     if (commit_prepared_sink_) {
@@ -312,6 +312,7 @@ Status TransactionManager::CommitPrepared(uint64_t gtid,
     const uint64_t commits =
         commit_count_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (commit_hook_) commit_hook_(commits);
+    break;
   }
   if (*durable_lsn != 0 && durability_wait_) {
     ANKER_RETURN_IF_ERROR(durability_wait_(*durable_lsn));
@@ -406,27 +407,20 @@ void TransactionManager::ReplayPrepare(mvcc::PreparedTxn txn) {
 void TransactionManager::ReplayCommitPrepared(
     uint64_t gtid, mvcc::Timestamp commit_ts, mvcc::Timestamp apply_ts,
     const std::vector<Transaction::LocalWrite>& writes, bool apply_writes) {
+  // Without apply_writes the checkpoint image already contains them.
+  static const std::vector<Transaction::LocalWrite> kNoWrites;
+  WriteSetLatches latches(apply_writes ? writes : kNoWrites);
   std::lock_guard<std::mutex> commit_guard(commit_mutex_);
   mvcc::PreparedTxn txn;
   intents_.Remove(gtid, &txn);  // Clear the staged twin if present.
   intents_.RecordOutcome(gtid, mvcc::TxnOutcome::kCommitted, commit_ts);
-  if (!apply_writes) return;  // Checkpoint image already contains them.
+  if (!apply_writes) return;
 
-  std::vector<storage::Column*> columns;
-  columns.reserve(writes.size());
-  for (const Transaction::LocalWrite& write : writes) {
-    columns.push_back(write.column);
-  }
-  std::sort(columns.begin(), columns.end());
-  columns.erase(std::unique(columns.begin(), columns.end()), columns.end());
-  for (storage::Column* column : columns) column->latch().LockShared();
   oracle_.AdvanceTo(apply_ts);
   for (const Transaction::LocalWrite& write : writes) {
     write.column->ApplyCommittedWrite(write.row, write.new_raw, apply_ts);
   }
-  for (auto it = columns.rbegin(); it != columns.rend(); ++it) {
-    (*it)->latch().UnlockShared();
-  }
+  latches.Release();
   visible_ts_.store(apply_ts, std::memory_order_release);
   commit_count_.fetch_add(1, std::memory_order_relaxed);
 }

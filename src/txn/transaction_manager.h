@@ -41,12 +41,18 @@ struct TxnStats {
 
 /// MVCC transaction coordinator. Begin hands out start timestamps; Commit
 /// runs the (partially sequential, mutex-protected) commit protocol:
-///   1. draw commit_ts,
-///   2. first-committer-wins write-write check,
-///   3. precision-locking read-set validation (serializable modes),
-///   4. materialize writes in place + push old values into version chains,
-///   5. append the write set to the recent-committers list.
-/// Aborts are cheap: local writes are simply discarded.
+///   0. before the mutex, latch the written columns shared and pay each
+///      write's first-touch work (Column::PrepareWrite: the page copy into
+///      live snapshot views, the version-chain block),
+///   1. first-committer-wins write-write check,
+///   2. precision-locking read-set validation (serializable modes),
+///   3. draw commit_ts, materialize writes in place + push old values
+///      into version chains,
+///   4. append the redo record and the write set to the recent-committers
+///      list.
+/// Every path that applies writes takes the same lock order: column
+/// latches, then commit_mutex_. Aborts are cheap: local writes are simply
+/// discarded.
 class TransactionManager {
  public:
   explicit TransactionManager(ProcessingMode mode);
@@ -72,6 +78,8 @@ class TransactionManager {
 
   /// Hook invoked (inside the commit section) with the running commit
   /// count; the engine uses it to trigger snapshot epochs every n commits.
+  /// It must not block on anything that can wait for a column latch: the
+  /// committers queued behind it hold theirs.
   void SetCommitHook(std::function<void(uint64_t commits)> hook) {
     commit_hook_ = std::move(hook);
   }

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
+#include <thread>
+#include <vector>
+
 #include "wal/io_util.h"
 
 #include "storage/value.h"
@@ -86,6 +94,102 @@ TEST_P(DatabaseModeTest, OlapIsolatedFromLaterCommits) {
     EXPECT_EQ(ctx2.value()->Reader(v).Get(0), 777u);
     ASSERT_TRUE(db.FinishOlap(ctx2.TakeValue()).ok());
   }
+}
+
+TEST_P(DatabaseModeTest, CommitsAndOlapOnSharedColumnsNeverDeadlock) {
+  // Lock-order regression. Committers latch their columns, then take the
+  // commit mutex; in heterogeneous mode the commit hook logs an epoch on
+  // every commit and BeginOlap materializes the same columns under their
+  // exclusive latches; 2PC
+  // commits take the same order. A cycle among them (an epoch trigger
+  // waiting for the snapshot manager's mutex while Acquire, holding it,
+  // waits for a queued committer's latch) hangs the workers. Deadlocked
+  // threads cannot be joined, so a missed deadline aborts the test binary.
+  DatabaseConfig config = DatabaseConfig::ForMode(GetParam());
+  config.snapshot_interval_commits = 1;
+  Database db(config);
+  db.Start();
+  constexpr uint64_t kRowsPerWriter = 1024;
+  auto table = db.CreateTable("t", TestSchema(), 3 * kRowsPerWriter);
+  ASSERT_TRUE(table.ok());
+  storage::Column* k = table.value()->GetColumn("k");
+  storage::Column* v = table.value()->GetColumn("v");
+
+  // Writers keep going until the OLAP thread has overlapped them for a
+  // while, however the threads get scheduled.
+  constexpr uint64_t kMinIterations = 2000;
+  constexpr uint64_t kMinOlapRounds = 200;
+  std::atomic<int> writers_running{3};
+  std::atomic<uint64_t> olap_rounds{0};
+  std::atomic<uint64_t> commits{0};
+  std::atomic<uint64_t> failures{0};
+  auto keep_writing = [&](uint64_t i) {
+    return i < kMinIterations || olap_rounds.load() < kMinOlapRounds;
+  };
+  std::vector<std::thread> workers;
+  for (uint64_t w = 0; w < 2; ++w) {
+    workers.emplace_back([&, w] {
+      for (uint64_t i = 0; keep_writing(i); ++i) {
+        const uint64_t row = w * kRowsPerWriter + i % kRowsPerWriter;
+        auto txn = db.BeginOltp();
+        txn->Write(k, row, i);
+        txn->Write(v, row, i);
+        // Serializable validation may abort a commit (a trimmed window
+        // under this commit rate); anything else is a failure.
+        const Status committed = db.Commit(txn.get());
+        if (committed.ok()) {
+          commits.fetch_add(1);
+        } else if (committed.code() != StatusCode::kAborted) {
+          failures.fetch_add(1);
+        }
+      }
+      writers_running.fetch_sub(1);
+    });
+  }
+  workers.emplace_back([&] {
+    txn::TransactionManager& tm = db.txn_manager();
+    for (uint64_t i = 0; keep_writing(i); ++i) {
+      const uint64_t row = 2 * kRowsPerWriter + i % kRowsPerWriter;
+      const uint64_t gtid = i + 1;
+      mvcc::Timestamp prepare_ts = 0;
+      uint64_t lsn = 0;
+      const Status prepared = tm.PrepareDistributed(
+          gtid, /*primary_shard=*/0, {{k, row, i}, {v, row, i}}, &prepare_ts,
+          &lsn);
+      if (!prepared.ok() || !tm.CommitPrepared(gtid, prepare_ts, &lsn).ok()) {
+        failures.fetch_add(1);
+      }
+      commits.fetch_add(1);
+    }
+    writers_running.fetch_sub(1);
+  });
+  workers.emplace_back([&] {
+    while (writers_running.load() > 0) {
+      auto ctx = db.BeginOlap({k, v});
+      if (!ctx.ok() || !db.FinishOlap(ctx.TakeValue()).ok()) {
+        failures.fetch_add(1);
+      }
+      olap_rounds.fetch_add(1);
+    }
+  });
+
+  std::future<void> joined = std::async(std::launch::async, [&] {
+    for (std::thread& worker : workers) worker.join();
+  });
+  if (joined.wait_for(std::chrono::seconds(60)) !=
+      std::future_status::ready) {
+    std::fprintf(stderr,
+                 "committers, 2PC and OLAP still running after 60 s "
+                 "(lock-order deadlock?); %d writers left, %llu OLAP "
+                 "rounds\n",
+                 writers_running.load(),
+                 static_cast<unsigned long long>(olap_rounds.load()));
+    std::abort();
+  }
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_GE(olap_rounds.load(), kMinOlapRounds);
+  EXPECT_EQ(db.txn_manager().committed_count(),
+            commits.load() + olap_rounds.load());
 }
 
 INSTANTIATE_TEST_SUITE_P(

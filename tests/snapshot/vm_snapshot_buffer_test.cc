@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <fstream>
 #include <memory>
+#include <mutex>
+#include <shared_mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "vm/page.h"
@@ -220,6 +225,99 @@ TEST(VmSnapshotBufferTest, InterleavedWritesAndSnapshotsOnSamePage) {
   EXPECT_EQ(s2.value()->ReadU64(0), 2u);
   EXPECT_EQ(s3.value()->ReadU64(0), 3u);
   EXPECT_EQ(b->LoadU64(0), 4u);
+}
+
+/// Hash over every word of `view`. Relaxed atomic loads: a first write
+/// elsewhere may store a word of this view onto itself (the copy-on-write
+/// trigger) while the hash runs.
+uint64_t ViewChecksum(const SnapshotView& view) {
+  const auto* words = reinterpret_cast<const uint64_t*>(view.data());
+  uint64_t hash = 0;
+  for (size_t i = 0; i < view.size() / sizeof(uint64_t); ++i) {
+    hash = hash * 31 + __atomic_load_n(words + i, __ATOMIC_RELAXED);
+  }
+  return hash;
+}
+
+TEST(VmSnapshotBufferTest, ConcurrentFirstTouchesKeepEveryLiveViewIntact) {
+  // The engine's commit path: a writer pre-touches its slot through
+  // MarkDirty holding only the column latch shared, then stores under the
+  // commit mutex. Snapshots are taken under the latch held exclusive and
+  // dropped without it. Writers racing for a page's first touch must not
+  // store before the page is copied into every live view.
+  constexpr size_t kPages = 64;
+  constexpr size_t kWords = kPages * kPageSize / sizeof(uint64_t);
+  constexpr int kWriters = 3;
+  constexpr int kRounds = 500;
+  constexpr size_t kMaxLiveViews = 4;
+  auto buffer = VmSnapshotBuffer::Create(kPages * kPageSize);
+  ASSERT_TRUE(buffer.ok());
+  VmSnapshotBuffer* b = buffer.value().get();
+
+  std::shared_mutex latch;
+  std::mutex commit_mutex;
+  // Writers stand back while it is set, so the snapshot thread's
+  // exclusive acquire is not starved by overlapping shared holds.
+  std::atomic<bool> snapshot_waiting{false};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      uint64_t rng = 0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(w + 1);
+      uint64_t value = static_cast<uint64_t>(w + 1) << 48;
+      while (!stop.load(std::memory_order_relaxed)) {
+        if (snapshot_waiting.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+          continue;
+        }
+        rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+        const size_t offset = ((rng >> 33) % kWords) * sizeof(uint64_t);
+        std::shared_lock<std::shared_mutex> shared(latch);
+        b->MarkDirty(offset, sizeof(uint64_t));
+        std::lock_guard<std::mutex> guard(commit_mutex);
+        b->StoreU64(offset, ++value);
+      }
+    });
+  }
+
+  struct LiveView {
+    std::unique_ptr<SnapshotView> view;
+    uint64_t checksum = 0;
+  };
+  std::deque<LiveView> live;
+  size_t corrupted_checks = 0;
+  for (int round = 0; round < kRounds && corrupted_checks == 0; ++round) {
+    snapshot_waiting.store(true, std::memory_order_release);
+    LiveView taken;
+    Status status;
+    {
+      std::unique_lock<std::shared_mutex> exclusive(latch);
+      auto snap = b->TakeSnapshot();
+      status = snap.status();
+      if (snap.ok()) {
+        taken.view = snap.TakeValue();
+        taken.checksum = ViewChecksum(*taken.view);
+      }
+    }
+    snapshot_waiting.store(false, std::memory_order_release);
+    if (!status.ok()) {
+      ADD_FAILURE() << status.ToString();
+      break;
+    }
+    live.push_back(std::move(taken));
+    // Retire the oldest view outside the latch, as epoch retirement does.
+    if (live.size() > kMaxLiveViews) live.pop_front();
+    // Let the writers first-touch every page of the epoch: the late first
+    // touches race writers already storing to dirty pages.
+    while (b->DirtyPageCount() < kPages) std::this_thread::yield();
+    for (const LiveView& view : live) {
+      if (ViewChecksum(*view.view) != view.checksum) ++corrupted_checks;
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& writer : writers) writer.join();
+  EXPECT_EQ(corrupted_checks, 0u);
+  EXPECT_GT(b->stats().forced_cow_pages, 0u);
 }
 
 }  // namespace
