@@ -1,5 +1,8 @@
 #include "common/status.h"
 
+#include <cerrno>
+#include <cstring>
+
 namespace anker {
 
 namespace {
@@ -40,6 +43,10 @@ std::string Status::ToString() const {
     out += message_;
   }
   return out;
+}
+
+Status Status::IoErrorFromErrno(const char* what) {
+  return IoError(std::string(what) + ": " + std::strerror(errno));
 }
 
 }  // namespace anker

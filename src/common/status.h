@@ -47,6 +47,8 @@ class Status {
   static Status IoError(std::string msg) {
     return Status(StatusCode::kIoError, std::move(msg));
   }
+  /// IoError "<what>: <strerror(errno)>" for a failed system call.
+  static Status IoErrorFromErrno(const char* what);
   static Status Aborted(std::string msg) {
     return Status(StatusCode::kAborted, std::move(msg));
   }

@@ -98,6 +98,7 @@ Result<std::unique_ptr<Database>> Database::Create(DatabaseConfig config) {
     }
     ANKER_RETURN_IF_ERROR(db->StartWal(1));
   }
+  db->InstallCommitHook();
   return db;
 }
 
@@ -113,6 +114,7 @@ Database::Database(DatabaseConfig config)
     const Status started = StartWal(1);
     ANKER_CHECK_MSG(started.ok(), started.message().c_str());
   }
+  InstallCommitHook();
 }
 
 std::string Database::wal_dir() const {
@@ -144,22 +146,24 @@ Database::Database(DatabaseConfig config, OpenTag)
         &txn_manager_.registry(), &txn_manager_.oracle(),
         config_.gc_interval_millis);
   }
+}
+
+void Database::InstallCommitHook() {
   const uint64_t snap_interval =
       config_.heterogeneous() ? config_.snapshot_interval_commits : 0;
   const uint64_t ckpt_interval = config_.checkpoint_interval_commits;
-  if (snap_interval > 0 || ckpt_interval > 0) {
-    SnapshotManager* manager = snapshot_manager_.get();
-    txn_manager_.SetCommitHook(
-        [this, manager, snap_interval, ckpt_interval](uint64_t commits) {
-          if (snap_interval > 0 && manager != nullptr &&
-              commits % snap_interval == 0) {
-            manager->TriggerEpoch();
-          }
-          if (ckpt_interval > 0 && commits % ckpt_interval == 0) {
-            ScheduleCheckpoint();
-          }
-        });
-  }
+  if (snap_interval == 0 && ckpt_interval == 0) return;
+  SnapshotManager* manager = snapshot_manager_.get();
+  txn_manager_.SetCommitHook(
+      [this, manager, snap_interval, ckpt_interval](uint64_t commits) {
+        if (snap_interval > 0 && manager != nullptr &&
+            commits % snap_interval == 0) {
+          manager->TriggerEpoch();
+        }
+        if (ckpt_interval > 0 && commits % ckpt_interval == 0) {
+          ScheduleCheckpoint();
+        }
+      });
 }
 
 Database::~Database() { Stop(); }

@@ -379,21 +379,28 @@ class Database {
                         mvcc::Timestamp skip_ts);
 
   /// Maps one record's redo writes back to live column pointers with the
-  /// bounds checks hostile bytes require (recovery and replica apply).
+  /// bounds checks hostile bytes require (WAL recovery, replica apply and
+  /// the manifest's prepared-intent restore).
   Status ResolveRedoWrites(const std::vector<wal::RedoWrite>& redo,
-                           std::vector<txn::Transaction::LocalWrite>* writes);
+                           std::vector<mvcc::SlotWrite>* writes);
 
   /// Serializes one commit's write set as a redo record and appends it
   /// (called from the commit critical section via the durability sink).
-  uint64_t AppendCommitRecord(
-      mvcc::Timestamp commit_ts,
-      const std::vector<txn::Transaction::LocalWrite>& writes);
+  uint64_t AppendCommitRecord(mvcc::Timestamp commit_ts,
+                              const std::vector<mvcc::SlotWrite>& writes);
 
   /// 2PC siblings of AppendCommitRecord (the distributed sinks).
   uint64_t AppendPrepareRecord(const mvcc::PreparedTxn& txn);
   uint64_t AppendCommitPreparedRecord(
       uint64_t gtid, mvcc::Timestamp commit_ts, mvcc::Timestamp apply_ts,
-      const std::vector<mvcc::IntentWrite>& writes);
+      const std::vector<mvcc::SlotWrite>& writes);
+
+  /// Installs the commit hook that triggers snapshot epochs and
+  /// auto-checkpoints every n commits, local or replicated. Installed once
+  /// the engine is fully constructed: recovery replay inside Open() runs
+  /// before it, so it never schedules a checkpoint of a half-recovered
+  /// state.
+  void InstallCommitHook();
 
   /// Commit-hook half of auto-checkpointing: schedules a Checkpoint() on
   /// the worker pool unless one is already pending.

@@ -33,6 +33,23 @@ struct Fnv {
   }
 };
 
+/// The one write -> redo mapping (commit, 2PC and checkpoint intent
+/// records). It runs inside the commit critical section, which bounds the
+/// engine's aggregate commit rate, so the result is a thread_local buffer
+/// (allocation-free once warm) and the column's stable ids make the
+/// addressing lookup-free. Valid until the thread's next call.
+const std::vector<wal::RedoWrite>& RedoWritesOf(
+    const std::vector<mvcc::SlotWrite>& writes) {
+  static thread_local std::vector<wal::RedoWrite> redo;
+  redo.clear();
+  for (const mvcc::SlotWrite& w : writes) {
+    redo.push_back(wal::RedoWrite{w.column->stable_table_id(),
+                                  w.column->stable_column_id(), w.row,
+                                  w.new_raw});
+  }
+  return redo;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<Database>> Database::Open(DatabaseConfig config) {
@@ -42,6 +59,7 @@ Result<std::unique_ptr<Database>> Database::Open(DatabaseConfig config) {
   }
   std::unique_ptr<Database> db(new Database(std::move(config), OpenTag{}));
   ANKER_RETURN_IF_ERROR(db->Recover());
+  db->InstallCommitHook();
   return db;
 }
 
@@ -120,20 +138,7 @@ Status Database::Recover() {
       txn.primary_shard = p.primary_shard;
       txn.start_ts = p.start_ts;
       txn.prepare_ts = p.prepare_ts;
-      txn.writes.reserve(p.writes.size());
-      for (const wal::RedoWrite& w : p.writes) {
-        if (w.table_id >= tables_by_id_.size()) {
-          return Status::IoError("checkpoint intent references unknown table");
-        }
-        storage::Table* table = tables_by_id_[w.table_id];
-        if (w.column_id >= table->num_columns() ||
-            w.row >= table->num_rows()) {
-          return Status::IoError("checkpoint intent out of bounds for table " +
-                                 table->name());
-        }
-        txn.writes.push_back(mvcc::IntentWrite{table->GetColumnAt(w.column_id),
-                                               w.row, w.value});
-      }
+      ANKER_RETURN_IF_ERROR(ResolveRedoWrites(p.writes, &txn.writes));
       txn_manager_.ReplayPrepare(std::move(txn));
     }
   } else if (!manifest.status().IsNotFound()) {
@@ -166,29 +171,28 @@ Status Database::Recover() {
   return Status::OK();
 }
 
-Status Database::ResolveRedoWrites(
-    const std::vector<wal::RedoWrite>& redo,
-    std::vector<txn::Transaction::LocalWrite>* writes) {
+Status Database::ResolveRedoWrites(const std::vector<wal::RedoWrite>& redo,
+                                   std::vector<mvcc::SlotWrite>* writes) {
   writes->clear();
   writes->reserve(redo.size());
   for (const wal::RedoWrite& w : redo) {
     if (w.table_id >= tables_by_id_.size()) {
-      return Status::IoError("WAL redo references unknown table");
+      return Status::IoError("redo write references unknown table");
     }
     storage::Table* table = tables_by_id_[w.table_id];
     if (w.column_id >= table->num_columns() || w.row >= table->num_rows()) {
-      return Status::IoError("WAL redo out of bounds for table " +
+      return Status::IoError("redo write out of bounds for table " +
                              table->name());
     }
-    writes->push_back(txn::Transaction::LocalWrite{
-        table->GetColumnAt(w.column_id), w.row, w.value});
+    writes->push_back(
+        mvcc::SlotWrite{table->GetColumnAt(w.column_id), w.row, w.value});
   }
   return Status::OK();
 }
 
 Status Database::ApplyWalRecord(const wal::WalRecord& record,
                                 mvcc::Timestamp skip_ts) {
-  std::vector<txn::Transaction::LocalWrite> writes;
+  std::vector<mvcc::SlotWrite> writes;
   switch (record.type) {
     case wal::RecordType::kCreateTable: {
       if (record.table_id < tables_by_id_.size()) {
@@ -214,16 +218,12 @@ Status Database::ApplyWalRecord(const wal::WalRecord& record,
       // or decided in its ledger — re-staging from a stale record could
       // re-lock rows whose outcome fell out of the evicting ledger.
       if (record.prepare_ts <= skip_ts) return Status::OK();
-      ANKER_RETURN_IF_ERROR(ResolveRedoWrites(record.writes, &writes));
       mvcc::PreparedTxn txn;
       txn.gtid = record.gtid;
       txn.primary_shard = record.primary_shard;
       txn.start_ts = record.start_ts;
       txn.prepare_ts = record.prepare_ts;
-      txn.writes.reserve(writes.size());
-      for (const txn::Transaction::LocalWrite& w : writes) {
-        txn.writes.push_back(mvcc::IntentWrite{w.column, w.row, w.new_raw});
-      }
+      ANKER_RETURN_IF_ERROR(ResolveRedoWrites(record.writes, &txn.writes));
       txn_manager_.ReplayPrepare(std::move(txn));
       return Status::OK();
     }
@@ -232,12 +232,11 @@ Status Database::ApplyWalRecord(const wal::WalRecord& record,
       // never depends on the matching kPrepare having survived. Below the
       // checkpoint only the outcome matters — the image already holds the
       // writes; the call still unstages a manifest-restored intent twin.
-      const bool apply = record.apply_ts > skip_ts;
-      if (apply) {
+      if (record.apply_ts > skip_ts) {
         ANKER_RETURN_IF_ERROR(ResolveRedoWrites(record.writes, &writes));
       }
       txn_manager_.ReplayCommitPrepared(record.gtid, record.commit_ts,
-                                        record.apply_ts, writes, apply);
+                                        record.apply_ts, writes);
       return Status::OK();
     }
     case wal::RecordType::kAbortPrepared: {
@@ -282,7 +281,7 @@ Status Database::StartWal(uint64_t first_segment_seq,
   const size_t max_writes = (wal::kMaxRecordBytes - 64) / 24;
   txn_manager_.SetDurabilityHooks(
       [this](mvcc::Timestamp commit_ts,
-             const std::vector<txn::Transaction::LocalWrite>& writes) {
+             const std::vector<mvcc::SlotWrite>& writes) {
         return AppendCommitRecord(commit_ts, writes);
       },
       std::move(wait), max_writes);
@@ -292,7 +291,7 @@ Status Database::StartWal(uint64_t first_segment_seq,
       },
       [this](uint64_t gtid, mvcc::Timestamp commit_ts,
              mvcc::Timestamp apply_ts,
-             const std::vector<mvcc::IntentWrite>& writes) {
+             const std::vector<mvcc::SlotWrite>& writes) {
         return AppendCommitPreparedRecord(gtid, commit_ts, apply_ts, writes);
       },
       [this](uint64_t gtid, mvcc::Timestamp abort_ts) {
@@ -384,53 +383,28 @@ void Database::SetReplicationWaiter(ReplicationWaiter waiter) {
 }
 
 uint64_t Database::AppendCommitRecord(
-    mvcc::Timestamp commit_ts,
-    const std::vector<txn::Transaction::LocalWrite>& writes) {
-  // Runs inside the commit critical section, which bounds the engine's
-  // aggregate commit rate — every nanosecond here taxes all commits.
-  // thread_local buffers keep the encode allocation-free once warm, and
-  // the column's stable id makes the addressing lookup-free.
+    mvcc::Timestamp commit_ts, const std::vector<mvcc::SlotWrite>& writes) {
   static thread_local std::string buf;
-  static thread_local std::vector<wal::RedoWrite> redo;
   buf.clear();
-  redo.clear();
-  for (const txn::Transaction::LocalWrite& w : writes) {
-    redo.push_back(wal::RedoWrite{w.column->stable_table_id(),
-                                  w.column->stable_column_id(), w.row,
-                                  w.new_raw});
-  }
-  wal::EncodeCommit(commit_ts, redo, &buf);
+  wal::EncodeCommit(commit_ts, RedoWritesOf(writes), &buf);
   return log_->Append(buf, commit_ts);
 }
 
 uint64_t Database::AppendPrepareRecord(const mvcc::PreparedTxn& txn) {
   static thread_local std::string buf;
-  static thread_local std::vector<wal::RedoWrite> redo;
   buf.clear();
-  redo.clear();
-  for (const mvcc::IntentWrite& w : txn.writes) {
-    redo.push_back(wal::RedoWrite{w.column->stable_table_id(),
-                                  w.column->stable_column_id(), w.row,
-                                  w.new_raw});
-  }
   wal::EncodePrepare(txn.gtid, txn.primary_shard, txn.start_ts,
-                     txn.prepare_ts, redo, &buf);
+                     txn.prepare_ts, RedoWritesOf(txn.writes), &buf);
   return log_->Append(buf, txn.prepare_ts);
 }
 
 uint64_t Database::AppendCommitPreparedRecord(
     uint64_t gtid, mvcc::Timestamp commit_ts, mvcc::Timestamp apply_ts,
-    const std::vector<mvcc::IntentWrite>& writes) {
+    const std::vector<mvcc::SlotWrite>& writes) {
   static thread_local std::string buf;
-  static thread_local std::vector<wal::RedoWrite> redo;
   buf.clear();
-  redo.clear();
-  for (const mvcc::IntentWrite& w : writes) {
-    redo.push_back(wal::RedoWrite{w.column->stable_table_id(),
-                                  w.column->stable_column_id(), w.row,
-                                  w.new_raw});
-  }
-  wal::EncodeCommitPrepared(gtid, commit_ts, apply_ts, redo, &buf);
+  wal::EncodeCommitPrepared(gtid, commit_ts, apply_ts, RedoWritesOf(writes),
+                            &buf);
   // Truncation keys off the *local* apply stamp, exactly like a commit.
   return log_->Append(buf, apply_ts);
 }
@@ -516,12 +490,7 @@ Result<CheckpointResult> Database::Checkpoint() {
     p.primary_shard = txn.primary_shard;
     p.start_ts = txn.start_ts;
     p.prepare_ts = txn.prepare_ts;
-    p.writes.reserve(txn.writes.size());
-    for (const mvcc::IntentWrite& w : txn.writes) {
-      p.writes.push_back(wal::RedoWrite{w.column->stable_table_id(),
-                                        w.column->stable_column_id(), w.row,
-                                        w.new_raw});
-    }
+    p.writes = RedoWritesOf(txn.writes);
     manifest.prepared.push_back(std::move(p));
   }
   for (const mvcc::IntentTable::OutcomeEntry& e :

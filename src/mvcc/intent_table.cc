@@ -18,14 +18,14 @@ Status IntentTable::Place(PreparedTxn txn) {
   if (pending_.count(txn.gtid) != 0) {
     return Status::OK();  // Duplicate prepare: already staged, idempotent.
   }
-  for (const IntentWrite& write : txn.writes) {
+  for (const SlotWrite& write : txn.writes) {
     auto slot = slots_.find(SlotKey{write.column, write.row});
     if (slot != slots_.end() && slot->second != txn.gtid) {
       return Status::ResourceBusy(
           "write intent pending on a slot in the write set");
     }
   }
-  for (const IntentWrite& write : txn.writes) {
+  for (const SlotWrite& write : txn.writes) {
     slots_[SlotKey{write.column, write.row}] = txn.gtid;
   }
   intent_count_.fetch_add(txn.writes.size(), std::memory_order_release);
@@ -59,7 +59,7 @@ bool IntentTable::Remove(uint64_t gtid, PreparedTxn* out) {
   std::lock_guard<std::mutex> guard(mutex_);
   auto it = pending_.find(gtid);
   if (it == pending_.end()) return false;
-  for (const IntentWrite& write : it->second.writes) {
+  for (const SlotWrite& write : it->second.writes) {
     slots_.erase(SlotKey{write.column, write.row});
   }
   intent_count_.fetch_sub(it->second.writes.size(),

@@ -25,11 +25,8 @@
 
 #include "common/macros.h"
 #include "common/status.h"
+#include "mvcc/slot_write.h"
 #include "mvcc/timestamp_oracle.h"
-
-namespace anker::storage {
-class Column;
-}  // namespace anker::storage
 
 namespace anker::mvcc {
 
@@ -38,13 +35,6 @@ enum class TxnOutcome : uint8_t {
   kPending = 0,
   kCommitted = 1,
   kAborted = 2,
-};
-
-/// One staged slot write of a prepared transaction.
-struct IntentWrite {
-  storage::Column* column = nullptr;
-  uint64_t row = 0;
-  uint64_t new_raw = 0;
 };
 
 /// What a reader learns when it hits an intent: whose it is and where the
@@ -61,7 +51,7 @@ struct PreparedTxn {
   uint32_t primary_shard = 0;
   Timestamp start_ts = 0;
   Timestamp prepare_ts = 0;
-  std::vector<IntentWrite> writes;
+  std::vector<SlotWrite> writes;
 };
 
 class IntentTable {
@@ -113,19 +103,6 @@ class IntentTable {
   static constexpr size_t kMaxOutcomes = 65536;
 
  private:
-  struct SlotKey {
-    const void* column;
-    uint64_t row;
-    bool operator==(const SlotKey& other) const {
-      return column == other.column && row == other.row;
-    }
-  };
-  struct SlotKeyHash {
-    size_t operator()(const SlotKey& key) const {
-      return std::hash<const void*>()(key.column) ^
-             std::hash<uint64_t>()(key.row * 0x9E3779B97F4A7C15ULL);
-    }
-  };
   struct Outcome {
     TxnOutcome outcome;
     Timestamp commit_ts;

@@ -9,24 +9,15 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <thread>
 
 namespace anker::server {
-
-namespace {
-
-std::string ErrnoMessage(const char* what) {
-  return std::string(what) + ": " + std::strerror(errno);
-}
-
-}  // namespace
 
 Result<std::unique_ptr<Client>> Client::Connect(const std::string& host,
                                                 uint16_t port,
                                                 ClientOptions options) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return Status::IoError(ErrnoMessage("socket"));
+  if (fd < 0) return Status::IoErrorFromErrno("socket");
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -36,7 +27,7 @@ Result<std::unique_ptr<Client>> Client::Connect(const std::string& host,
     return Status::InvalidArgument("bad host address: " + host);
   }
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    const Status status = Status::IoError(ErrnoMessage("connect"));
+    const Status status = Status::IoErrorFromErrno("connect");
     ::close(fd);
     return status;
   }
@@ -97,7 +88,7 @@ Status Client::SendFrame(const std::string& payload) {
                              MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      poisoned_ = Status::IoError(ErrnoMessage("send"));
+      poisoned_ = Status::IoErrorFromErrno("send");
       return poisoned_;
     }
     sent += static_cast<size_t>(n);
@@ -128,7 +119,7 @@ Status Client::ReceiveFrame(std::string* payload) {
     }
     if (n < 0) {
       if (errno == EINTR) continue;
-      poisoned_ = Status::IoError(ErrnoMessage("recv"));
+      poisoned_ = Status::IoErrorFromErrno("recv");
       return poisoned_;
     }
     inbox_.append(chunk, static_cast<size_t>(n));
@@ -196,16 +187,6 @@ Status Client::Ping() {
   }
   return Status::OK();
 }
-
-namespace {
-
-std::string OpOnly(Op op) {
-  std::string payload;
-  payload.push_back(static_cast<char>(op));
-  return payload;
-}
-
-}  // namespace
 
 Status Client::Begin() {
   auto response = RoundTrip(OpOnly(Op::kBegin));

@@ -21,6 +21,10 @@ using wal::PutU8;
 
 Status Truncated() { return Status::InvalidArgument("truncated message"); }
 
+/// CREATE_TABLE and TABLES carry schemas in the WAL's encoding
+/// (wal::PutSchema / wal::GetSchema); the wire also caps the column count.
+constexpr size_t kMaxSchemaColumns = 4096;
+
 Status ExpectDrained(std::string_view in) {
   if (!in.empty()) {
     return Status::InvalidArgument("trailing bytes after message body");
@@ -36,6 +40,8 @@ bool GetBool(std::string_view* in, bool* v) {
 }
 
 }  // namespace
+
+std::string OpOnly(Op op) { return std::string(1, static_cast<char>(op)); }
 
 bool IsRequestOp(uint8_t op) {
   switch (static_cast<Op>(op)) {
@@ -241,28 +247,6 @@ bool GetWriteBody(std::string_view* in, PointWrite* write) {
          GetU64(in, &write->raw);
 }
 
-/// Shared schema decode (CREATE_TABLE request, TABLES response):
-/// u32 count, then count x (name, u8 type tag), tags validated.
-Status GetSchema(std::string_view* in, std::vector<storage::ColumnDef>* out) {
-  uint32_t ncols = 0;
-  if (!GetU32(in, &ncols)) return Truncated();
-  if (ncols > 4096) {
-    return Status::InvalidArgument("bad schema column count");
-  }
-  out->clear();
-  for (uint32_t i = 0; i < ncols; ++i) {
-    storage::ColumnDef def;
-    uint8_t type = 0;
-    if (!GetString(in, &def.name) || !GetU8(in, &type)) return Truncated();
-    if (type > static_cast<uint8_t>(storage::ValueType::kDict32)) {
-      return Status::InvalidArgument("unknown column type tag");
-    }
-    def.type = static_cast<storage::ValueType>(type);
-    out->push_back(std::move(def));
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 void EncodeWrite(const PointWrite& write, std::string* out) {
@@ -449,15 +433,26 @@ Status DecodeQueryDone(std::string_view in, query::QueryResult* result) {
   return ExpectDrained(in);
 }
 
+void EncodeQueryResultFrames(const query::QueryResult& result,
+                             std::string* out) {
+  std::string response;
+  for (size_t begin = 0; begin < result.rows.size();
+       begin += kQueryBatchRows) {
+    const size_t end = std::min(begin + kQueryBatchRows, result.rows.size());
+    response.clear();
+    EncodeQueryBatch(result, begin, end, &response);
+    EncodeFrame(response, out);
+  }
+  response.clear();
+  EncodeQueryDone(result, &response);
+  EncodeFrame(response, out);
+}
+
 void EncodeCreateTable(const CreateTableMsg& msg, std::string* out) {
   PutU8(out, static_cast<uint8_t>(Op::kCreateTable));
   PutString(out, msg.name);
   PutU64(out, msg.num_rows);
-  PutU32(out, static_cast<uint32_t>(msg.schema.size()));
-  for (const storage::ColumnDef& def : msg.schema) {
-    PutString(out, def.name);
-    PutU8(out, static_cast<uint8_t>(def.type));
-  }
+  wal::PutSchema(msg.schema, out);
 }
 
 Status DecodeCreateTable(std::string_view in, CreateTableMsg* msg) {
@@ -468,7 +463,10 @@ Status DecodeCreateTable(std::string_view in, CreateTableMsg* msg) {
     return Status::InvalidArgument(
         "table row count exceeds the wire limit");
   }
-  ANKER_RETURN_IF_ERROR(GetSchema(&in, &msg->schema));
+  if (!wal::GetSchema(&in, &msg->schema) ||
+      msg->schema.size() > kMaxSchemaColumns) {
+    return Status::InvalidArgument("bad schema");
+  }
   return ExpectDrained(in);
 }
 
@@ -548,11 +546,7 @@ void EncodeTables(const std::vector<TableInfo>& tables, std::string* out) {
     PutString(out, info.name);
     PutU64(out, info.num_rows);
     PutU8(out, info.has_primary_index ? 1 : 0);
-    PutU32(out, static_cast<uint32_t>(info.schema.size()));
-    for (const storage::ColumnDef& def : info.schema) {
-      PutString(out, def.name);
-      PutU8(out, static_cast<uint8_t>(def.type));
-    }
+    wal::PutSchema(info.schema, out);
   }
 }
 
@@ -568,7 +562,10 @@ Status DecodeTables(std::string_view in, std::vector<TableInfo>* tables) {
         !GetBool(&in, &info.has_primary_index)) {
       return Truncated();
     }
-    ANKER_RETURN_IF_ERROR(GetSchema(&in, &info.schema));
+    if (!wal::GetSchema(&in, &info.schema) ||
+        info.schema.size() > kMaxSchemaColumns) {
+      return Status::InvalidArgument("bad schema");
+    }
     tables->push_back(std::move(info));
   }
   return ExpectDrained(in);

@@ -195,6 +195,9 @@ FrameStatus DecodeFrame(std::string_view buffer, std::string_view* payload,
 /// fail with InvalidArgument on malformed input (wire input is
 /// untrusted; nothing here CHECKs).
 
+/// A message with no body (BEGIN, COMMIT, PING, DIGEST, ...).
+std::string OpOnly(Op op);
+
 struct HelloMsg {
   uint32_t version = kProtocolVersion;
   std::string auth_token;
@@ -271,6 +274,11 @@ Status DecodeQueryBatch(std::string_view in, query::QueryResult* result);
 void EncodeQueryDone(const query::QueryResult& result, std::string* out);
 /// Fills names/stats; rows must already have arrived via batches.
 Status DecodeQueryDone(std::string_view in, query::QueryResult* result);
+
+/// Appends a complete result as frames: QUERY_BATCH frames of
+/// kQueryBatchRows rows, then QUERY_DONE.
+void EncodeQueryResultFrames(const query::QueryResult& result,
+                             std::string* out);
 
 /// Row-count ceiling for remotely created tables: 2^28 rows = 2 GiB per
 /// column. A bigger claim in a CREATE_TABLE frame is rejected at decode

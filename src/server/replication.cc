@@ -34,12 +34,6 @@ Status SimpleStatus(const std::string& payload) {
   return Status::IoError("unexpected response opcode");
 }
 
-std::string OpOnly(Op op) {
-  std::string payload;
-  payload.push_back(static_cast<char>(op));
-  return payload;
-}
-
 void MakeBlockingWithTimeout(int fd, int timeout_millis) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);

@@ -381,17 +381,7 @@ void Server::DispatchedResponse(Session& session, const std::string& payload,
         respond_status(result.status());
         return;
       }
-      const query::QueryResult& r = result.value();
-      for (size_t begin = 0; begin < r.rows.size();
-           begin += kQueryBatchRows) {
-        const size_t end = std::min(begin + kQueryBatchRows, r.rows.size());
-        response.clear();
-        EncodeQueryBatch(r, begin, end, &response);
-        EncodeFrame(response, out);
-      }
-      response.clear();
-      EncodeQueryDone(r, &response);
-      EncodeFrame(response, out);
+      EncodeQueryResultFrames(result.value(), out);
       queries_served_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
@@ -536,7 +526,7 @@ void Server::DispatchedResponse(Session& session, const std::string& payload,
     case Op::kPrepareTxn: {
       PrepareTxnMsg msg;
       Status status = DecodePrepareTxn(body, &msg);
-      std::vector<txn::Transaction::LocalWrite> writes;
+      std::vector<mvcc::SlotWrite> writes;
       if (status.ok()) {
         writes.reserve(msg.writes.size());
         for (const PointWrite& write : msg.writes) {

@@ -10,7 +10,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 
 namespace anker::server {
 
@@ -21,10 +20,6 @@ using Clock = std::chrono::steady_clock;
 /// One epoll_wait tick: bounds how stale idle-timeout and shutdown checks
 /// can get when no IO arrives.
 constexpr int kTickMillis = 100;
-
-std::string ErrnoMessage(const char* what) {
-  return std::string(what) + ": " + std::strerror(errno);
-}
 
 void Bump(std::atomic<uint64_t>& counter) {
   counter.fetch_add(1, std::memory_order_relaxed);
@@ -46,7 +41,7 @@ Status SessionLoop::Start() {
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
                         0);
-  if (listen_fd_ < 0) return Status::IoError(ErrnoMessage("socket"));
+  if (listen_fd_ < 0) return Status::IoErrorFromErrno("socket");
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
@@ -58,9 +53,9 @@ Status SessionLoop::Start() {
     status = Status::InvalidArgument("bad listen address: " + config_.host);
   } else if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
                     sizeof(addr)) < 0) {
-    status = Status::IoError(ErrnoMessage("bind"));
+    status = Status::IoErrorFromErrno("bind");
   } else if (::listen(listen_fd_, 128) < 0) {
-    status = Status::IoError(ErrnoMessage("listen"));
+    status = Status::IoErrorFromErrno("listen");
   }
   if (!status.ok()) {
     ::close(listen_fd_);
@@ -76,7 +71,7 @@ Status SessionLoop::Start() {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (epoll_fd_ < 0 || wake_fd_ < 0) {
-    status = Status::IoError(ErrnoMessage("epoll/eventfd"));
+    status = Status::IoErrorFromErrno("epoll/eventfd");
     Shutdown();
     return status;
   }

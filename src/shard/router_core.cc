@@ -16,28 +16,7 @@ namespace {
 using server::Op;
 using server::WireError;
 
-std::string OpOnly(Op op) {
-  std::string payload;
-  payload.push_back(static_cast<char>(op));
-  return payload;
-}
-
-/// Streams a complete query result as the wire frames the engine server
-/// would send: n QUERY_BATCH frames followed by QUERY_DONE.
-void AppendResultFrames(const query::QueryResult& result, std::string* out) {
-  std::string response;
-  for (size_t begin = 0; begin < result.rows.size();
-       begin += server::kQueryBatchRows) {
-    const size_t end =
-        std::min(begin + server::kQueryBatchRows, result.rows.size());
-    response.clear();
-    server::EncodeQueryBatch(result, begin, end, &response);
-    server::EncodeFrame(response, out);
-  }
-  response.clear();
-  server::EncodeQueryDone(result, &response);
-  server::EncodeFrame(response, out);
-}
+using server::OpOnly;
 
 bool IsOkResponse(const std::string& payload) {
   return !payload.empty() && static_cast<Op>(payload[0]) == Op::kOk;
@@ -780,7 +759,7 @@ void RouterCore::HandleQuery(const server::QueryMsg& msg, std::string* out) {
       return;
     }
     pool_->Release(any.value().first, std::move(any.value().second));
-    AppendResultFrames(result.value(), out);
+    server::EncodeQueryResultFrames(result.value(), out);
     single_shard_queries_.fetch_add(1);
     return;
   }
@@ -828,7 +807,7 @@ void RouterCore::HandleQuery(const server::QueryMsg& msg, std::string* out) {
   // shards whose rows are absent, so a client can never mistake a
   // partial SUM/COUNT for the complete answer.
   merged.shards_missing = skipped;
-  AppendResultFrames(merged, out);
+  server::EncodeQueryResultFrames(merged, out);
   scatter_queries_.fetch_add(1);
 }
 

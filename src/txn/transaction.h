@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/macros.h"
+#include "mvcc/slot_write.h"
 #include "mvcc/timestamp_oracle.h"
 #include "txn/predicate.h"
 
@@ -55,12 +56,7 @@ class Transaction {
   bool read_only() const { return writes_.empty(); }
 
   // Accessors for the transaction manager's commit protocol.
-  struct LocalWrite {
-    storage::Column* column;
-    uint64_t row;
-    uint64_t new_raw;
-  };
-  const std::vector<LocalWrite>& writes() const { return writes_; }
+  const std::vector<mvcc::SlotWrite>& writes() const { return writes_; }
   const std::vector<PointRead>& point_reads() const { return point_reads_; }
   const std::vector<PredicateRange>& predicates() const { return predicates_; }
 
@@ -72,28 +68,14 @@ class Transaction {
   void set_durable_lsn(uint64_t lsn) { durable_lsn_ = lsn; }
 
  private:
-  struct SlotKey {
-    const void* column;
-    uint64_t row;
-    bool operator==(const SlotKey& other) const {
-      return column == other.column && row == other.row;
-    }
-  };
-  struct SlotKeyHash {
-    size_t operator()(const SlotKey& key) const {
-      return std::hash<const void*>()(key.column) ^
-             std::hash<uint64_t>()(key.row * 0x9E3779B97F4A7C15ULL);
-    }
-  };
-
   uint64_t id_;
   mvcc::Timestamp start_ts_;
   uint64_t registry_serial_;
   TxnType type_;
   uint64_t durable_lsn_ = 0;
 
-  std::vector<LocalWrite> writes_;
-  std::unordered_map<SlotKey, size_t, SlotKeyHash> write_lookup_;
+  std::vector<mvcc::SlotWrite> writes_;
+  std::unordered_map<mvcc::SlotKey, size_t, mvcc::SlotKeyHash> write_lookup_;
   std::vector<PointRead> point_reads_;
   std::vector<PredicateRange> predicates_;
 };

@@ -16,25 +16,22 @@ const char* ProcessingModeName(ProcessingMode mode) {
   return "unknown";
 }
 
-namespace {
-
 /// Shared latches over the columns of one write set, plus each write's
 /// first-touch work (Column::PrepareWrite). Taken before the commit mutex:
 /// the lock order is column latches (address order), then commit_mutex_,
 /// everywhere. Snapshot materialization holds one exclusive latch at a
 /// time and no commit-side lock, so no cycle can form, and the shared
 /// hold keeps the epoch fixed between prepare and apply.
-class WriteSetLatches {
+class TransactionManager::WriteSetLatches {
  public:
-  template <typename Write>
-  explicit WriteSetLatches(const std::vector<Write>& writes) {
+  explicit WriteSetLatches(const std::vector<mvcc::SlotWrite>& writes) {
     columns_.reserve(writes.size());
-    for (const Write& write : writes) columns_.push_back(write.column);
+    for (const mvcc::SlotWrite& w : writes) columns_.push_back(w.column);
     std::sort(columns_.begin(), columns_.end());
     columns_.erase(std::unique(columns_.begin(), columns_.end()),
                    columns_.end());
     for (storage::Column* column : columns_) column->latch().LockShared();
-    for (const Write& write : writes) write.column->PrepareWrite(write.row);
+    for (const mvcc::SlotWrite& w : writes) w.column->PrepareWrite(w.row);
   }
   ~WriteSetLatches() { Release(); }
   ANKER_DISALLOW_COPY_AND_MOVE(WriteSetLatches);
@@ -50,8 +47,6 @@ class WriteSetLatches {
  private:
   std::vector<storage::Column*> columns_;
 };
-
-}  // namespace
 
 TransactionManager::TransactionManager(ProcessingMode mode) : mode_(mode) {}
 
@@ -111,7 +106,7 @@ Status TransactionManager::Commit(Transaction* txn) {
     //    locked by a prepared distributed transaction is busy — its
     //    outcome is undecided, so neither conflict-abort nor proceed is
     //    sound; the caller retries once the intent resolves.
-    for (const Transaction::LocalWrite& write : txn->writes()) {
+    for (const mvcc::SlotWrite& write : txn->writes()) {
       mvcc::IntentInfo intent;
       if (intents_.Lookup(write.column, write.row, &intent)) {
         registry_.End(txn->registry_serial());
@@ -128,7 +123,8 @@ Status TransactionManager::Commit(Transaction* txn) {
     }
 
     // 2. Read-set validation via precision locking (serializable only).
-    if (isolation() == IsolationLevel::kSerializable) {
+    const bool validating = isolation() == IsolationLevel::kSerializable;
+    if (validating) {
       const Status validation = recent_.Validate(
           txn->start_ts(), txn->point_reads(), txn->predicates());
       if (!validation.ok()) {
@@ -138,25 +134,12 @@ Status TransactionManager::Commit(Transaction* txn) {
       }
     }
 
-    // 3. Materialize under the latches taken above.
+    // 3. Materialize under the latches taken above and make the commit
+    //    visible to new readers.
     const mvcc::Timestamp commit_ts = oracle_.Next();
     std::vector<WriteRecord> records;
-    records.reserve(txn->writes().size());
-    for (const Transaction::LocalWrite& write : txn->writes()) {
-      // ApplyCommittedWrite hands back the pre-image: reading it via
-      // ReadLatestRaw here would fault cold segments in through the
-      // exclusive latch and deadlock against our own shared hold.
-      const uint64_t old_raw = write.column->ApplyCommittedWrite(
-          write.row, write.new_raw, commit_ts);
-      records.push_back(
-          WriteRecord{write.column, write.row, old_raw, write.new_raw});
-    }
-    latches.Release();
-
-    // Every write of this commit is materialized: make it visible to new
-    // readers (commits serialize under commit_mutex_, so the watermark is
-    // monotonic).
-    visible_ts_.store(commit_ts, std::memory_order_release);
+    ApplyAndPublish(txn->writes(), commit_ts, &latches,
+                    validating ? &records : nullptr);
 
     // 4. Emit the redo record. Still inside the critical section, so the
     //    log receives records in commit-timestamp order; the (possibly
@@ -168,15 +151,13 @@ Status TransactionManager::Commit(Transaction* txn) {
 
     // 5. Publish the write set for later validators, then trim what no
     //    active transaction can need anymore.
-    if (isolation() == IsolationLevel::kSerializable) {
+    if (validating) {
       recent_.Record(commit_ts, std::move(records));
       recent_.TrimOlderThan(registry_.MinStartTs(commit_ts));
     }
 
     registry_.End(txn->registry_serial());
-    const uint64_t commits =
-        commit_count_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (commit_hook_) commit_hook_(commits);
+    FinishCommit();
   }
 
   // 6. Group commit: acknowledge only once the record is on disk. Other
@@ -188,26 +169,49 @@ Status TransactionManager::Commit(Transaction* txn) {
   return Status::OK();
 }
 
+void TransactionManager::ApplyAndPublish(
+    const std::vector<mvcc::SlotWrite>& writes, mvcc::Timestamp commit_ts,
+    WriteSetLatches* latches, std::vector<WriteRecord>* records) {
+  if (records != nullptr) records->reserve(writes.size());
+  for (const mvcc::SlotWrite& write : writes) {
+    // ApplyCommittedWrite hands back the pre-image: reading it via
+    // ReadLatestRaw here would fault cold segments in through the
+    // exclusive latch and deadlock against our own shared hold.
+    const uint64_t old_raw = write.column->ApplyCommittedWrite(
+        write.row, write.new_raw, commit_ts);
+    if (records != nullptr) {
+      records->push_back(
+          WriteRecord{write.column, write.row, old_raw, write.new_raw});
+    }
+  }
+  latches->Release();
+  // Every write of this commit is materialized: make it visible to new
+  // readers (commits serialize under commit_mutex_, so the watermark is
+  // monotonic).
+  visible_ts_.store(commit_ts, std::memory_order_release);
+}
+
+void TransactionManager::FinishCommit() {
+  const uint64_t commits =
+      commit_count_.fetch_add(1, std::memory_order_relaxed) + 1;
+  if (commit_hook_) commit_hook_(commits);
+}
+
 void TransactionManager::ReplayCommitted(
-    const std::vector<Transaction::LocalWrite>& writes,
-    mvcc::Timestamp commit_ts) {
+    const std::vector<mvcc::SlotWrite>& writes, mvcc::Timestamp commit_ts) {
   WriteSetLatches latches(writes);
   std::lock_guard<std::mutex> commit_guard(commit_mutex_);
   // Keep the logged timestamp: version chains and visibility must come
   // out exactly as they were when the record was written.
   oracle_.AdvanceTo(commit_ts);
-  for (const Transaction::LocalWrite& write : writes) {
-    write.column->ApplyCommittedWrite(write.row, write.new_raw, commit_ts);
-  }
-  latches.Release();
-  visible_ts_.store(commit_ts, std::memory_order_release);
-  commit_count_.fetch_add(1, std::memory_order_relaxed);
+  ApplyAndPublish(writes, commit_ts, &latches, nullptr);
+  FinishCommit();
 }
 
 Status TransactionManager::PrepareDistributed(
     uint64_t gtid, uint32_t primary_shard,
-    const std::vector<Transaction::LocalWrite>& writes,
-    mvcc::Timestamp* prepare_ts, uint64_t* durable_lsn) {
+    const std::vector<mvcc::SlotWrite>& writes, mvcc::Timestamp* prepare_ts,
+    uint64_t* durable_lsn) {
   *durable_lsn = 0;
   if (writes.empty()) {
     return Status::InvalidArgument("empty distributed write set");
@@ -227,11 +231,7 @@ Status TransactionManager::PrepareDistributed(
     // nothing can have committed after a timestamp drawn under the same
     // mutex that serializes commits.
     txn.start_ts = visible_ts_.load(std::memory_order_acquire);
-    txn.writes.reserve(writes.size());
-    for (const Transaction::LocalWrite& write : writes) {
-      txn.writes.push_back(
-          mvcc::IntentWrite{write.column, write.row, write.new_raw});
-    }
+    txn.writes = writes;
     txn.prepare_ts = oracle_.Next();
     *prepare_ts = txn.prepare_ts;
     const mvcc::PreparedTxn logged = txn;  // Place() consumes the struct.
@@ -287,31 +287,21 @@ Status TransactionManager::CommitPrepared(uint64_t gtid,
     // clocks'.
     oracle_.AdvanceTo(commit_ts - 1);
     const mvcc::Timestamp apply_ts = oracle_.Next();
+    const bool validating = isolation() == IsolationLevel::kSerializable;
     std::vector<WriteRecord> records;
-    records.reserve(txn.writes.size());
-    for (const mvcc::IntentWrite& write : txn.writes) {
-      // Pre-image via ApplyCommittedWrite, not ReadLatestRaw: the read
-      // path's cold fault-in takes the exclusive latch we hold shared.
-      const uint64_t old_raw = write.column->ApplyCommittedWrite(
-          write.row, write.new_raw, apply_ts);
-      records.push_back(
-          WriteRecord{write.column, write.row, old_raw, write.new_raw});
-    }
-    latches.Release();
-    visible_ts_.store(apply_ts, std::memory_order_release);
+    ApplyAndPublish(txn.writes, apply_ts, &latches,
+                    validating ? &records : nullptr);
 
     if (commit_prepared_sink_) {
       *durable_lsn =
           commit_prepared_sink_(gtid, commit_ts, apply_ts, txn.writes);
     }
-    if (isolation() == IsolationLevel::kSerializable) {
+    if (validating) {
       recent_.Record(apply_ts, std::move(records));
       recent_.TrimOlderThan(registry_.MinStartTs(apply_ts));
     }
     intents_.RecordOutcome(gtid, mvcc::TxnOutcome::kCommitted, commit_ts);
-    const uint64_t commits =
-        commit_count_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (commit_hook_) commit_hook_(commits);
+    FinishCommit();
     break;
   }
   if (*durable_lsn != 0 && durability_wait_) {
@@ -406,23 +396,17 @@ void TransactionManager::ReplayPrepare(mvcc::PreparedTxn txn) {
 
 void TransactionManager::ReplayCommitPrepared(
     uint64_t gtid, mvcc::Timestamp commit_ts, mvcc::Timestamp apply_ts,
-    const std::vector<Transaction::LocalWrite>& writes, bool apply_writes) {
-  // Without apply_writes the checkpoint image already contains them.
-  static const std::vector<Transaction::LocalWrite> kNoWrites;
-  WriteSetLatches latches(apply_writes ? writes : kNoWrites);
+    const std::vector<mvcc::SlotWrite>& writes) {
+  WriteSetLatches latches(writes);
   std::lock_guard<std::mutex> commit_guard(commit_mutex_);
   mvcc::PreparedTxn txn;
   intents_.Remove(gtid, &txn);  // Clear the staged twin if present.
   intents_.RecordOutcome(gtid, mvcc::TxnOutcome::kCommitted, commit_ts);
-  if (!apply_writes) return;
+  if (writes.empty()) return;
 
   oracle_.AdvanceTo(apply_ts);
-  for (const Transaction::LocalWrite& write : writes) {
-    write.column->ApplyCommittedWrite(write.row, write.new_raw, apply_ts);
-  }
-  latches.Release();
-  visible_ts_.store(apply_ts, std::memory_order_release);
-  commit_count_.fetch_add(1, std::memory_order_relaxed);
+  ApplyAndPublish(writes, apply_ts, &latches, nullptr);
+  FinishCommit();
 }
 
 void TransactionManager::ReplayAbortPrepared(uint64_t gtid,

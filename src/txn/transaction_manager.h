@@ -77,7 +77,9 @@ class TransactionManager {
   void Abort(Transaction* txn);
 
   /// Hook invoked (inside the commit section) with the running commit
-  /// count; the engine uses it to trigger snapshot epochs every n commits.
+  /// count by every path that materializes a commit, replayed ones
+  /// included; the engine uses it to trigger snapshot epochs every n
+  /// commits.
   /// It must not block on anything that can wait for a column latch: the
   /// committers queued behind it hold theirs.
   void SetCommitHook(std::function<void(uint64_t commits)> hook) {
@@ -96,8 +98,7 @@ class TransactionManager {
   /// IO error — the write set is already applied in memory, but the
   /// caller must not treat the transaction as durably committed.
   using DurabilitySink = std::function<uint64_t(
-      mvcc::Timestamp commit_ts,
-      const std::vector<Transaction::LocalWrite>& writes)>;
+      mvcc::Timestamp commit_ts, const std::vector<mvcc::SlotWrite>& writes)>;
   using DurabilityWait = std::function<Status(uint64_t lsn)>;
   /// `max_writes` bounds one transaction's loggable write set (the WAL
   /// caps record sizes); an oversized transaction is rejected with a
@@ -110,11 +111,12 @@ class TransactionManager {
     max_durable_writes_ = max_writes;
   }
 
-  /// Recovery path: re-applies one logged commit through the normal
-  /// materialization code (latches, version-chain pushes, visibility
-  /// watermark) with its *original* commit timestamp. No validation, no
-  /// hooks, no re-logging — the record already survived a crash once.
-  void ReplayCommitted(const std::vector<Transaction::LocalWrite>& writes,
+  /// Recovery and replica path: re-applies one logged commit through the
+  /// apply step every commit shares (latches, version-chain pushes,
+  /// visibility watermark, commit count and hook) with its *original*
+  /// commit timestamp. No validation, no re-logging — the record already
+  /// survived a crash once.
+  void ReplayCommitted(const std::vector<mvcc::SlotWrite>& writes,
                        mvcc::Timestamp commit_ts);
 
   // --- Cross-shard two-phase commit (docs/SERVER.md "2PC surface") ------
@@ -132,7 +134,7 @@ class TransactionManager {
   using PrepareSink = std::function<uint64_t(const mvcc::PreparedTxn& txn)>;
   using CommitPreparedSink = std::function<uint64_t(
       uint64_t gtid, mvcc::Timestamp commit_ts, mvcc::Timestamp apply_ts,
-      const std::vector<mvcc::IntentWrite>& writes)>;
+      const std::vector<mvcc::SlotWrite>& writes)>;
   using AbortPreparedSink =
       std::function<uint64_t(uint64_t gtid, mvcc::Timestamp abort_ts)>;
   void SetDistributedHooks(PrepareSink prepare, CommitPreparedSink commit,
@@ -148,7 +150,7 @@ class TransactionManager {
   /// already resolved as aborted (zombie fencing). On OK the staged rows
   /// are locked until the outcome arrives.
   Status PrepareDistributed(uint64_t gtid, uint32_t primary_shard,
-                            const std::vector<Transaction::LocalWrite>& writes,
+                            const std::vector<mvcc::SlotWrite>& writes,
                             mvcc::Timestamp* prepare_ts,
                             uint64_t* durable_lsn);
 
@@ -173,12 +175,13 @@ class TransactionManager {
                         mvcc::TxnOutcome* outcome,
                         mvcc::Timestamp* commit_ts);
 
-  /// Recovery twins (no logging, idempotent, ledger-aware).
+  /// Recovery twins (no logging, idempotent, ledger-aware). An empty
+  /// `writes` in ReplayCommitPrepared records the outcome only: the
+  /// checkpoint image already holds the writes.
   void ReplayPrepare(mvcc::PreparedTxn txn);
   void ReplayCommitPrepared(uint64_t gtid, mvcc::Timestamp commit_ts,
                             mvcc::Timestamp apply_ts,
-                            const std::vector<Transaction::LocalWrite>& writes,
-                            bool apply_writes);
+                            const std::vector<mvcc::SlotWrite>& writes);
   void ReplayAbortPrepared(uint64_t gtid, mvcc::Timestamp abort_ts);
 
   /// Intent table (reader-side lookups, checkpoint snapshot/restore).
@@ -202,6 +205,20 @@ class TransactionManager {
   }
 
  private:
+  class WriteSetLatches;
+
+  /// The apply step of every commit path. The caller holds `latches` over
+  /// `writes` and commit_mutex_. Materializes each write at commit_ts
+  /// (appending its WriteRecord to `records` unless null), drops the
+  /// latches and publishes commit_ts to new readers.
+  void ApplyAndPublish(const std::vector<mvcc::SlotWrite>& writes,
+                       mvcc::Timestamp commit_ts, WriteSetLatches* latches,
+                       std::vector<WriteRecord>* records);
+
+  /// Counts one materialized commit and runs the commit hook; the caller
+  /// holds commit_mutex_.
+  void FinishCommit();
+
   ProcessingMode mode_;
   mvcc::TimestampOracle oracle_;
   mvcc::ActiveTxnRegistry registry_;

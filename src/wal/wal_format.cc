@@ -129,7 +129,10 @@ bool GetSchema(std::string_view* in, std::vector<storage::ColumnDef>* schema) {
   for (uint32_t i = 0; i < n; ++i) {
     storage::ColumnDef def;
     uint8_t type = 0;
-    if (!GetString(in, &def.name) || !GetU8(in, &type)) return false;
+    if (!GetString(in, &def.name) || !GetU8(in, &type) ||
+        type > static_cast<uint8_t>(storage::ValueType::kDict32)) {
+      return false;
+    }
     def.type = static_cast<storage::ValueType>(type);
     schema->push_back(std::move(def));
   }

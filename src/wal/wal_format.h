@@ -108,7 +108,9 @@ bool GetString(std::string_view* in, std::string* s);
 void PutRedoWrites(const std::vector<RedoWrite>& writes, std::string* out);
 bool GetRedoWrites(std::string_view* in, std::vector<RedoWrite>* writes);
 
-/// Count-prefixed schema: (name, value type) per column.
+/// Count-prefixed schema: (name, value type) per column. GetSchema rejects
+/// a type tag that names no storage::ValueType. Shared by the WAL, the
+/// checkpoint manifest and the wire protocol.
 void PutSchema(const std::vector<storage::ColumnDef>& schema,
                std::string* out);
 bool GetSchema(std::string_view* in, std::vector<storage::ColumnDef>* schema);

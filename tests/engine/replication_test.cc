@@ -3,13 +3,16 @@
 // plane without any sockets — the server wraps exactly this loop.
 #include <unistd.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/database.h"
 #include "storage/value.h"
+#include "wal/checkpoint.h"
 #include "wal/io_util.h"
 #include "wal/wal_tail.h"
 
@@ -181,6 +184,46 @@ TEST_F(ReplicationTest, BootstrapFromFetchedCheckpoint) {
   EXPECT_GT(replica->applied_lsn(), 0u);
   ShipAll(primary.get(), replica.get());
   EXPECT_EQ(primary->ContentDigest(), replica->ContentDigest());
+}
+
+TEST_F(ReplicationTest, ReplicatedCommitsAdvanceSnapshotsAndCheckpoints) {
+  auto primary_r = Database::Open(Config("primary"));
+  ASSERT_TRUE(primary_r.ok());
+  auto primary = primary_r.TakeValue();
+  MakeTable(primary.get());
+  CommitN(primary.get(), 10, 1000);
+
+  DatabaseConfig config = Config("replica");
+  config.snapshot_interval_commits = 5;
+  config.checkpoint_interval_commits = 5;
+  auto replica_r = Database::Open(config);
+  ASSERT_TRUE(replica_r.ok());
+  auto replica = replica_r.TakeValue();
+  ShipAll(primary.get(), replica.get());
+  storage::Column* bal = replica->catalog().GetTable("acct")->GetColumn("bal");
+  auto olap_read_row0 = [&] {
+    auto ctx = replica->BeginOlap({bal});
+    EXPECT_TRUE(ctx.ok()) << ctx.status().ToString();
+    const uint64_t raw = ctx.value()->Reader(bal).Get(0);
+    EXPECT_TRUE(replica->FinishOlap(ctx.TakeValue()).ok());
+    return raw;
+  };
+  EXPECT_EQ(olap_read_row0(), 1000u);
+
+  // Row 0 is rewritten by the 1st and the 65th of these commits; the
+  // replica's 110th commit triggers an epoch after both.
+  CommitN(primary.get(), 100, 5000);
+  ShipAll(primary.get(), replica.get());
+  EXPECT_EQ(replica->ContentDigest(), primary->ContentDigest());
+  EXPECT_EQ(olap_read_row0(), 5064u);
+
+  auto manifest = wal::CheckpointReader::ReadManifest(config.data_dir, nullptr);
+  for (int i = 0; i < 1000 && !manifest.ok(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    manifest = wal::CheckpointReader::ReadManifest(config.data_dir, nullptr);
+  }
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  EXPECT_GT(manifest.value().checkpoint_ts, 0u);
 }
 
 TEST_F(ReplicationTest, WaitAppliedLsnGatesReadYourWrites) {

@@ -18,6 +18,7 @@
 #include "wal/crc32c.h"
 #include "wal/io_util.h"
 #include "wal/wal_format.h"
+#include "wal/wal_tail.h"
 
 namespace anker::engine {
 namespace {
@@ -396,6 +397,111 @@ TEST_P(RecoveryTest, V2ManifestIsRejectedAsMalformed) {
             std::string::npos);
   EXPECT_FALSE(
       Database::Open(DurableConfig(wal::DurabilityMode::kGroupCommit)).ok());
+}
+
+/// Ships every durable record of `primary` that `replica` has not applied.
+void ShipLog(Database* primary, Database* replica) {
+  wal::LogWriter* log = primary->log_writer();
+  ASSERT_TRUE(log->Sync().ok());
+  wal::WalTailer tail(primary->wal_dir());
+  ASSERT_TRUE(
+      tail.Seek(replica->applied_lsn() + 1, log->durable_lsn() + 1).ok());
+  for (;;) {
+    std::vector<wal::TailRecord> batch;
+    ASSERT_TRUE(tail.Poll(log->durable_lsn(), SIZE_MAX, &batch).ok());
+    if (batch.empty()) return;
+    for (const wal::TailRecord& r : batch) {
+      const Status applied = replica->ApplyReplicated(r.lsn, r.payload);
+      ASSERT_TRUE(applied.ok()) << applied.ToString();
+    }
+  }
+}
+
+TEST_P(RecoveryTest, TwoPhaseCommitStateSurvivesReopenAndReplicaApply) {
+  DatabaseConfig primary_config =
+      DurableConfig(wal::DurabilityMode::kGroupCommit);
+  primary_config.data_dir = dir_ + "/primary";
+  DatabaseConfig replica_config = primary_config;
+  replica_config.data_dir = dir_ + "/replica";
+  auto replica_r = Database::Open(replica_config);
+  ASSERT_TRUE(replica_r.ok()) << replica_r.status().ToString();
+  std::unique_ptr<Database> replica = replica_r.TakeValue();
+
+  // Each prepared transaction writes two slots no local commit touches.
+  enum Gtid : uint64_t {
+    kPendingBeforeCheckpoint = 11,  // Restored from the manifest.
+    kCommittedBeforeCheckpoint,     // Outcome in the manifest ledger.
+    kAbortedAfterCheckpoint,        // Manifest intent, WAL abort.
+    kCommittedAfterCheckpoint,      // Manifest intent, WAL commit.
+    kPendingAfterCheckpoint,        // WAL prepare only.
+  };
+  const std::vector<uint64_t> gtids = {
+      kPendingBeforeCheckpoint, kCommittedBeforeCheckpoint,
+      kAbortedAfterCheckpoint, kCommittedAfterCheckpoint,
+      kPendingAfterCheckpoint};
+  std::vector<mvcc::Timestamp> commit_ts(gtids.size(), 0);
+  uint64_t expected_digest = 0;
+  {
+    Database primary(primary_config);
+    storage::Table* table = MakeTable(&primary);
+    txn::TransactionManager& tm = primary.txn_manager();
+    auto prepare = [&](uint64_t gtid) {
+      const uint64_t row = 400 + 2 * gtid;
+      const std::vector<mvcc::SlotWrite> writes = {
+          {table->GetColumn("balance"), row, storage::EncodeInt64(gtid)},
+          {table->GetColumn("price"), row + 1,
+           storage::EncodeDouble(static_cast<double>(gtid))}};
+      mvcc::Timestamp prepare_ts = 0;
+      uint64_t lsn = 0;
+      EXPECT_TRUE(tm.PrepareDistributed(gtid, /*primary_shard=*/0, writes,
+                                        &prepare_ts, &lsn)
+                      .ok());
+      return prepare_ts;
+    };
+    auto commit = [&](uint64_t gtid, mvcc::Timestamp prepare_ts) {
+      uint64_t lsn = 0;
+      commit_ts[gtid - kPendingBeforeCheckpoint] = prepare_ts + 1;
+      ASSERT_TRUE(tm.CommitPrepared(gtid, prepare_ts + 1, &lsn).ok());
+    };
+
+    RunTxns(&primary, table, 0, 10);
+    prepare(kPendingBeforeCheckpoint);
+    commit(kCommittedBeforeCheckpoint, prepare(kCommittedBeforeCheckpoint));
+    prepare(kAbortedAfterCheckpoint);
+    const mvcc::Timestamp late_commit = prepare(kCommittedAfterCheckpoint);
+    ShipLog(&primary, replica.get());
+    ASSERT_TRUE(primary.Checkpoint().ok());
+
+    uint64_t lsn = 0;
+    ASSERT_TRUE(tm.AbortPrepared(kAbortedAfterCheckpoint, &lsn).ok());
+    commit(kCommittedAfterCheckpoint, late_commit);
+    prepare(kPendingAfterCheckpoint);
+    RunTxns(&primary, table, 10, 20);
+    ShipLog(&primary, replica.get());
+    expected_digest = primary.ContentDigest();
+  }
+
+  auto reopened = Database::Open(primary_config);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  for (Database* db : {reopened.value().get(), replica.get()}) {
+    SCOPED_TRACE(db->config().data_dir);
+    EXPECT_EQ(db->ContentDigest(), expected_digest);
+    EXPECT_EQ(db->txn_manager().intents().PendingCount(), 2u);
+    for (size_t i = 0; i < gtids.size(); ++i) {
+      mvcc::TxnOutcome outcome = mvcc::TxnOutcome::kPending;
+      mvcc::Timestamp ts = 0;
+      ASSERT_TRUE(db->txn_manager()
+                      .ResolveOutcome(gtids[i], /*abort_pending=*/false,
+                                      &outcome, &ts)
+                      .ok());
+      const mvcc::TxnOutcome expected =
+          commit_ts[i] != 0 ? mvcc::TxnOutcome::kCommitted
+          : gtids[i] == kAbortedAfterCheckpoint ? mvcc::TxnOutcome::kAborted
+                                                : mvcc::TxnOutcome::kPending;
+      EXPECT_EQ(outcome, expected) << "gtid " << gtids[i];
+      EXPECT_EQ(ts, commit_ts[i]) << "gtid " << gtids[i];
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

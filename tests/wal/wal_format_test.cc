@@ -73,6 +73,19 @@ TEST(WalFormatTest, CreateTableRoundTrip) {
   }
 }
 
+TEST(WalFormatTest, DecodeRejectsUnknownColumnTypeTag) {
+  std::string payload;
+  PutU8(&payload, static_cast<uint8_t>(RecordType::kCreateTable));
+  PutU32(&payload, 0);
+  PutString(&payload, "t");
+  PutU64(&payload, 8);
+  PutU32(&payload, 1);
+  PutString(&payload, "c");
+  PutU8(&payload, 7);  // One past kDict32.
+  WalRecord record;
+  EXPECT_FALSE(DecodeRecord(payload, &record).ok());
+}
+
 TEST(WalFormatTest, DecodeRejectsTruncationAtEveryOffset) {
   std::vector<RedoWrite> writes = {{1, 2, 3, 4}, {5, 6, 7, 8}};
   std::string payload;
