@@ -132,6 +132,11 @@ class Client {
   /// (0 before any durable commit) — the read-your-writes token.
   uint64_t last_commit_lsn() const { return last_commit_lsn_; }
 
+  /// The first transport or framing failure, sticky (OK while the
+  /// connection is usable). A pool uses it to decide between reusing
+  /// and closing a returned connection.
+  const Status& transport_status() const { return poisoned_; }
+
   /// Unblocks any thread stuck in recv/send on this client (the fd stays
   /// owned and is closed by the destructor). Safe from another thread.
   void ShutdownSocket();

@@ -515,9 +515,7 @@ Status ReplicaController::Bootstrap(const ReplicaConfig& config,
 
   // Force a fresh checkpoint first: bulk LOADs are not WAL-logged, so
   // only a checkpoint taken *now* captures them for the new replica.
-  auto ckpt = client->RoundTrip(OpOnly(Op::kCheckpointNow));
-  if (!ckpt.ok()) return ckpt.status();
-  ANKER_RETURN_IF_ERROR(SimpleStatus(ckpt.value()));
+  ANKER_RETURN_IF_ERROR(client->CheckpointNow());
 
   return FetchCheckpointInto(client, data_dir);
 }

@@ -16,16 +16,36 @@ BackendPool::BackendPool(std::vector<ShardEndpoint> shards,
   }
 }
 
-Result<std::unique_ptr<server::Client>> BackendPool::Acquire(size_t shard) {
+BackendPool::Lease& BackendPool::Lease::operator=(Lease&& other) noexcept {
+  if (this != &other) {
+    Return();
+    pool_ = other.pool_;
+    shard_ = other.shard_;
+    client_ = std::move(other.client_);
+  }
+  return *this;
+}
+
+void BackendPool::Lease::Return() {
+  if (client_ != nullptr) pool_->Return(shard_, std::move(client_));
+}
+
+void BackendPool::SetBusyPolicy(int retry_budget, int backoff_initial_millis,
+                                int backoff_max_millis) {
+  config_.client.busy_retry_budget = retry_budget;
+  config_.client.busy_backoff_initial_millis = backoff_initial_millis;
+  config_.client.busy_backoff_max_millis = backoff_max_millis;
+}
+
+Result<BackendPool::Lease> BackendPool::Acquire(size_t shard) {
   ANKER_CHECK(shard < backends_.size());
   Backend& backend = *backends_[shard];
   {
     std::lock_guard<std::mutex> guard(backend.mutex);
     if (!backend.idle.empty()) {
-      std::unique_ptr<server::Client> client =
-          std::move(backend.idle.back());
+      Lease lease(this, shard, std::move(backend.idle.back()));
       backend.idle.pop_back();
-      return client;
+      return lease;
     }
     if (backend.dial_failures > 0 && Clock::now() < backend.retry_after) {
       return Status::ResourceBusy(
@@ -42,7 +62,7 @@ Result<std::unique_ptr<server::Client>> BackendPool::Acquire(size_t shard) {
   std::lock_guard<std::mutex> guard(backend.mutex);
   if (dialed.ok()) {
     backend.dial_failures = 0;
-    return std::move(dialed.value());
+    return Lease(this, shard, std::move(dialed.value()));
   }
   ++backend.dial_failures;
   const int shift = std::min(backend.dial_failures - 1, 16);
@@ -56,31 +76,22 @@ Result<std::unique_ptr<server::Client>> BackendPool::Acquire(size_t shard) {
                               ") unreachable: " + dialed.status().message());
 }
 
-void BackendPool::Release(size_t shard,
+void BackendPool::Return(size_t shard,
                          std::unique_ptr<server::Client> client) {
-  ANKER_CHECK(shard < backends_.size());
-  if (client == nullptr) return;
   Backend& backend = *backends_[shard];
-  std::lock_guard<std::mutex> guard(backend.mutex);
-  if (backend.idle.size() < config_.max_idle_per_shard) {
-    backend.idle.push_back(std::move(client));
+  if (client->transport_status().ok()) {
+    std::lock_guard<std::mutex> guard(backend.mutex);
+    if (backend.idle.size() < config_.max_idle_per_shard) {
+      backend.idle.push_back(std::move(client));
+    }
   }
-  // else: destructor closes the surplus connection.
-}
-
-void BackendPool::Discard(std::unique_ptr<server::Client> client) {
-  client.reset();
+  // Anything still held here (a failed transport, a surplus idle
+  // connection) closes outside the lock.
 }
 
 bool BackendPool::ProbeHealthy(size_t shard) {
-  auto client = Acquire(shard);
-  if (!client.ok()) return false;
-  const Status pinged = client.value()->Ping();
-  if (pinged.ok()) {
-    Release(shard, std::move(client.value()));
-    return true;
-  }
-  return false;
+  auto lease = Acquire(shard);
+  return lease.ok() && lease.value()->Ping().ok();
 }
 
 size_t BackendPool::CountHealthy() {

@@ -3,8 +3,18 @@
 
 // Per-shard connection pools for the router's backend side. Each shard
 // keeps a small free-list of connected Clients; Acquire hands one out
-// (dialing a fresh connection when the list is empty), Release returns
-// a healthy one, Discard drops a connection whose transport failed.
+// as a Lease (dialing a fresh connection when the list is empty). The
+// lease returns itself: on destruction a healthy connection goes back
+// to its shard's idle list, and one whose sticky transport status
+// (Client::transport_status) records a failure is closed. Callers
+// therefore never decide between "release" and "discard".
+//
+// BUSY policy: every connection is dialed with one retry policy, so
+// Client::RoundTrip re-sends an admission BUSY (and only that opcode)
+// with capped exponential backoff. RouterCore installs its
+// RouterCoreConfig busy_* fields here (SetBusyPolicy) before serving;
+// the policy replaces BackendPoolConfig::client's busy_* fields rather
+// than stacking on them.
 //
 // Shard-down handling: a failed dial opens a capped-exponential-backoff
 // window during which further Acquires fail fast with kResourceBusy —
@@ -22,6 +32,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "common/macros.h"
@@ -33,36 +44,61 @@ namespace anker::shard {
 
 struct BackendPoolConfig {
   /// Options for every backend connection (auth token, IO timeout). The
-  /// busy_retry_budget should stay 0: BUSY must travel back to the real
-  /// client, which owns the retry policy.
+  /// busy_* fields are overridden by SetBusyPolicy.
   server::ClientOptions client;
   int backoff_initial_millis = 50;
   int backoff_max_millis = 2000;
-  /// Idle connections kept per shard; extras are closed on Release.
+  /// Idle connections kept per shard; extras are closed on return.
   size_t max_idle_per_shard = 8;
 };
 
 class BackendPool {
  public:
+  /// A connection on loan from the pool. Move-only; returns itself (or
+  /// closes a connection whose transport failed) when destroyed.
+  class Lease {
+   public:
+    Lease() = default;
+    Lease(Lease&& other) noexcept { *this = std::move(other); }
+    Lease& operator=(Lease&& other) noexcept;
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    ~Lease() { Return(); }
+
+    explicit operator bool() const { return client_ != nullptr; }
+    server::Client* get() const { return client_.get(); }
+    server::Client* operator->() const { return client_.get(); }
+    size_t shard() const { return shard_; }
+
+   private:
+    friend class BackendPool;
+    Lease(BackendPool* pool, size_t shard,
+          std::unique_ptr<server::Client> client)
+        : pool_(pool), shard_(shard), client_(std::move(client)) {}
+    void Return();
+
+    BackendPool* pool_ = nullptr;
+    size_t shard_ = 0;
+    std::unique_ptr<server::Client> client_;
+  };
+
   BackendPool(std::vector<ShardEndpoint> shards, BackendPoolConfig config);
   ANKER_DISALLOW_COPY_AND_MOVE(BackendPool);
 
   size_t num_shards() const { return shards_.size(); }
   const ShardEndpoint& endpoint(size_t shard) const { return shards_[shard]; }
 
+  /// Sets the BUSY retry policy of every connection dialed from now on.
+  /// Call before the pool serves traffic: connections already dialed
+  /// keep the policy they were dialed with.
+  void SetBusyPolicy(int retry_budget, int backoff_initial_millis,
+                     int backoff_max_millis);
+
   /// A pooled connection or a fresh dial. kResourceBusy while the shard
   /// is inside its reconnect-backoff window or the dial fails (which
-  /// opens/extends the window).
-  Result<std::unique_ptr<server::Client>> Acquire(size_t shard);
-
-  /// Returns a connection that completed its work normally.
-  void Release(size_t shard, std::unique_ptr<server::Client> client);
-
-  /// Drops a connection whose transport failed mid-operation. The next
-  /// Acquire re-dials immediately (one failure on an established
-  /// connection does not open the backoff window — the dial verdict
-  /// does).
-  void Discard(std::unique_ptr<server::Client> client);
+  /// opens/extends the window). One failure on an established
+  /// connection does not open the window — the dial verdict does.
+  Result<Lease> Acquire(size_t shard);
 
   /// Health probe: a pooled/fresh connection answering PING. Cheap when
   /// the shard is inside backoff (fails fast without touching the
@@ -82,8 +118,11 @@ class BackendPool {
     Clock::time_point retry_after;  ///< Backoff gate while failing.
   };
 
+  /// A lease's way home: back onto the idle list, or closed.
+  void Return(size_t shard, std::unique_ptr<server::Client> client);
+
   const std::vector<ShardEndpoint> shards_;
-  const BackendPoolConfig config_;
+  BackendPoolConfig config_;
   std::vector<std::unique_ptr<Backend>> backends_;
 };
 

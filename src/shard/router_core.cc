@@ -4,7 +4,6 @@
 #include <chrono>
 #include <thread>
 #include <utility>
-#include <vector>
 
 #include "common/fault_injector.h"
 #include "query/merge.h"
@@ -26,6 +25,10 @@ bool IsBusyResponse(const std::string& payload) {
   return !payload.empty() && static_cast<Op>(payload[0]) == Op::kBusy;
 }
 
+constexpr const char* kRowIdRefusal =
+    "row ids are shard-local; address partitioned tables by key through "
+    "the router";
+
 /// Wall-clock-seeded base for global transaction ids: the high bits
 /// change across router incarnations so a restarted router's counter
 /// does not replay a predecessor's gtids (collisions would only cost a
@@ -44,6 +47,9 @@ RouterCore::RouterCore(const ShardMap* map, BackendPool* pool,
     : map_(map), pool_(pool), config_(config), gtid_base_(GtidBase()) {
   ANKER_CHECK(map_ != nullptr && pool_ != nullptr);
   ANKER_CHECK(map_->num_shards() == pool_->num_shards());
+  pool_->SetBusyPolicy(config_.busy_retry_budget,
+                       config_.busy_backoff_initial_millis,
+                       config_.busy_backoff_max_millis);
 }
 
 void RouterCore::RespondError(WireError code, const std::string& message,
@@ -66,28 +72,13 @@ void RouterCore::RespondStatus(const Status& status, std::string* out) {
 bool RouterCore::ForwardVerbatim(server::Client* client,
                                  const std::string& payload,
                                  std::string* out) {
-  // Router-side BUSY absorption, mirroring Client::RetryPolicy: the
-  // shard emits BUSY from admission control *before* running anything,
-  // so re-sending the same bytes is safe for every op that reaches
-  // here. The pooled clients keep a zero budget — the router owns the
-  // backoff so one overloaded shard doesn't multiply retries per hop.
-  int backoff_millis = config_.busy_backoff_initial_millis;
-  for (int attempt = 0;; ++attempt) {
-    auto response = client->RoundTrip(payload);
-    if (!response.ok()) return false;
-    if (!IsBusyResponse(response.value()) ||
-        attempt >= config_.busy_retry_budget) {
-      server::EncodeFrame(response.value(), out);
-      return true;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(backoff_millis));
-    backoff_millis =
-        std::min(backoff_millis * 2, config_.busy_backoff_max_millis);
-  }
+  auto response = client->RoundTrip(payload);
+  if (!response.ok()) return false;
+  server::EncodeFrame(response.value(), out);
+  return true;
 }
 
-Result<std::pair<size_t, std::unique_ptr<server::Client>>>
-RouterCore::AcquireAny() {
+Result<BackendPool::Lease> RouterCore::AcquireAny() {
   Status last = Status::ResourceBusy("no shards configured");
   // Round-robin start point: any-shard work (replicated reads,
   // single-shard queries, LIST_TABLES) spreads across healthy
@@ -96,12 +87,18 @@ RouterCore::AcquireAny() {
   const size_t start =
       any_cursor_.fetch_add(1, std::memory_order_relaxed);
   for (size_t i = 0; i < shards; ++i) {
-    const size_t shard = (start + i) % shards;
-    auto client = pool_->Acquire(shard);
-    if (client.ok()) return std::make_pair(shard, std::move(client.value()));
-    last = client.status();
+    auto lease = pool_->Acquire((start + i) % shards);
+    if (lease.ok()) return lease;
+    last = lease.status();
   }
   return last;
+}
+
+void RouterCore::LoseTxn(SessionState* session, std::string* out) {
+  session->txn = {};
+  session->in_txn = false;
+  RespondError(WireError::kResourceBusy,
+               "shard connection lost; transaction aborted", out);
 }
 
 bool RouterCore::Handle(SessionState* session, const std::string& payload,
@@ -151,17 +148,26 @@ bool RouterCore::Handle(SessionState* session, const std::string& payload,
                      "no open transaction (BEGIN first)", out);
         return false;
       }
-      const int shard = ShardForWrites(writes, out);
-      if (shard < 0) return false;
-      if (!EnsurePinned(session, static_cast<size_t>(shard), out)) {
+      // An interactive transaction lives on one shard; the batch must
+      // land there as one group (an empty batch writes nothing).
+      WriteGroups groups;
+      if (!PartitionWrites(writes, &groups, out)) return false;
+      if (groups.empty()) {
+        RespondStatus(Status::OK(), out);
         return false;
       }
-      if (!ForwardVerbatim(session->txn_client.get(), payload, out)) {
-        pool_->Discard(std::move(session->txn_client));
-        session->in_txn = false;
-        session->pinned_shard = -1;
-        RespondError(WireError::kResourceBusy,
-                     "shard connection lost; transaction aborted", out);
+      const size_t shard = groups.front().first;
+      if (groups.size() > 1) {
+        RespondError(WireError::kNotSupported,
+                     "write batch spans shards " + std::to_string(shard) +
+                         " and " + std::to_string(groups[1].first) +
+                         "; send cross-shard writes as one EXEC_TXN",
+                     out);
+        return false;
+      }
+      if (!EnsurePinned(session, shard, out)) return false;
+      if (!ForwardVerbatim(session->txn.get(), payload, out)) {
+        LoseTxn(session, out);
       }
       return false;
     }
@@ -240,7 +246,6 @@ void RouterCore::HandleTxnOp(SessionState* session, Op op,
     // Acknowledged locally; the session pins to a shard at its first
     // keyed operation (a BEGIN alone costs no backend round trip).
     session->in_txn = true;
-    session->pinned_shard = -1;
     RespondStatus(Status::OK(), out);
     return;
   }
@@ -248,7 +253,7 @@ void RouterCore::HandleTxnOp(SessionState* session, Op op,
     RespondError(WireError::kInvalidArgument, "no open transaction", out);
     return;
   }
-  if (session->txn_client == nullptr) {
+  if (!session->txn) {
     // Untouched transaction: nothing reached any shard.
     session->in_txn = false;
     if (op == Op::kCommit) {
@@ -260,123 +265,72 @@ void RouterCore::HandleTxnOp(SessionState* session, Op op,
     }
     return;
   }
-  const size_t shard = static_cast<size_t>(session->pinned_shard);
-  const bool forwarded =
-      ForwardVerbatim(session->txn_client.get(), payload, out);
-  if (forwarded) {
-    pool_->Release(shard, std::move(session->txn_client));
-    if (op == Op::kCommit) passthrough_txns_.fetch_add(1);
-  } else {
-    pool_->Discard(std::move(session->txn_client));
+  auto response = session->txn->RoundTrip(payload);
+  if (!response.ok()) {
+    session->txn = {};
+    session->in_txn = false;
     RespondStatus(
         op == Op::kCommit
             ? Status::IoError(
                   "shard connection lost; commit outcome unknown")
             : Status::OK(),  // A lost ABORT aborted anyway (server-side).
         out);
+    return;
   }
+  server::EncodeFrame(response.value(), out);
+  // BUSY means the shard ran nothing: the transaction is still open on
+  // the pinned connection, so the client may retry COMMIT or ABORT.
+  if (IsBusyResponse(response.value())) return;
+  session->txn = {};
   session->in_txn = false;
-  session->pinned_shard = -1;
-  return;
+  if (op == Op::kCommit) passthrough_txns_.fetch_add(1);
 }
 
 void RouterCore::HandleRead(SessionState* session,
                             const server::PointReadMsg& msg,
                             const std::string& payload, std::string* out) {
-  const std::string* partition_key = map_->PartitionKey(msg.table);
-  if (partition_key != nullptr && !msg.by_key) {
-    RespondError(WireError::kNotSupported,
-                 "row ids are shard-local; address partitioned tables "
-                 "by key through the router",
-                 out);
+  const bool partitioned = map_->PartitionKey(msg.table) != nullptr;
+  if (partitioned && !msg.by_key) {
+    RespondError(WireError::kNotSupported, kRowIdRefusal, out);
     return;
   }
 
   if (session->in_txn) {
-    if (partition_key == nullptr) {
-      // Replicated table inside a transaction: read it on the pinned
-      // shard (any copy is equivalent; the pinned one sees txn writes
-      // to partitioned tables alongside).
-      if (session->txn_client == nullptr) {
-        auto any = AcquireAny();
-        if (!any.ok()) {
-          RespondStatus(any.status(), out);
-          return;
-        }
-        // Pin here too: later keyed ops must agree with this read's
-        // transactional view.
-        session->pinned_shard = static_cast<int>(any.value().first);
-        session->txn_client = std::move(any.value().second);
-        auto begun = session->txn_client->RoundTrip(OpOnly(Op::kBegin));
-        if (!begun.ok() || !IsOkResponse(begun.value())) {
-          pool_->Discard(std::move(session->txn_client));
-          session->in_txn = false;
-          session->pinned_shard = -1;
-          RespondError(WireError::kResourceBusy,
-                       "shard refused transaction open", out);
-          return;
-        }
-      }
-    } else {
-      const size_t shard = map_->ShardFor(msg.key);
-      if (!EnsurePinned(session, shard, out)) return;
+    // A replicated table reads on the pinned shard (any copy is
+    // equivalent, and the pinned one sees the transaction's writes); an
+    // unpinned transaction pins to any healthy shard here, so later
+    // keyed ops agree with this read's transactional view.
+    if (!EnsurePinned(session,
+                      partitioned ? map_->ShardFor(msg.key) : kAnyShard,
+                      out)) {
+      return;
     }
-    if (!ForwardReadResolving(session->txn_client.get(),
-                              static_cast<size_t>(session->pinned_shard),
-                              payload, out)) {
-      pool_->Discard(std::move(session->txn_client));
-      session->in_txn = false;
-      session->pinned_shard = -1;
-      RespondError(WireError::kResourceBusy,
-                   "shard connection lost; transaction aborted", out);
+    if (!ForwardReadResolving(session->txn.get(), payload, out)) {
+      LoseTxn(session, out);
     }
     return;
   }
 
   // Auto-commit read: one round trip to the owning (or any) shard.
-  size_t shard = 0;
-  std::unique_ptr<server::Client> client;
-  if (partition_key != nullptr) {
-    shard = map_->ShardFor(msg.key);
-    auto acquired = pool_->Acquire(shard);
-    if (!acquired.ok()) {
-      RespondStatus(acquired.status(), out);
-      return;
-    }
-    client = std::move(acquired.value());
-  } else {
-    auto any = AcquireAny();
-    if (!any.ok()) {
-      RespondStatus(any.status(), out);
-      return;
-    }
-    shard = any.value().first;
-    client = std::move(any.value().second);
+  auto lease =
+      partitioned ? pool_->Acquire(map_->ShardFor(msg.key)) : AcquireAny();
+  if (!lease.ok()) {
+    RespondStatus(lease.status(), out);
+    return;
   }
-  if (ForwardReadResolving(client.get(), shard, payload, out)) {
-    pool_->Release(shard, std::move(client));
-  } else {
-    pool_->Discard(std::move(client));
+  if (!ForwardReadResolving(lease.value().get(), payload, out)) {
     RespondError(WireError::kResourceBusy, "shard connection lost", out);
   }
 }
 
-bool RouterCore::ForwardReadResolving(server::Client* client, size_t shard,
+bool RouterCore::ForwardReadResolving(server::Client* client,
                                       const std::string& payload,
                                       std::string* out) {
-  (void)shard;
   int backoff_millis = config_.busy_backoff_initial_millis;
   for (int attempt = 0; attempt <= config_.intent_resolve_attempts;
        ++attempt) {
     auto response = client->RoundTrip(payload);
     if (!response.ok()) return false;
-    if (IsBusyResponse(response.value()) &&
-        attempt < config_.busy_retry_budget) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_millis));
-      backoff_millis =
-          std::min(backoff_millis * 2, config_.busy_backoff_max_millis);
-      continue;
-    }
     if (response.value().empty() ||
         static_cast<Op>(response.value()[0]) != Op::kIntentPending) {
       server::EncodeFrame(response.value(), out);
@@ -417,19 +371,14 @@ Status RouterCore::ResolveIntentOnce(uint64_t gtid, size_t primary_shard,
   if (primary_shard >= pool_->num_shards()) {
     return Status::InvalidArgument("intent names an unknown primary shard");
   }
-  auto primary = pool_->Acquire(primary_shard);
-  if (!primary.ok()) return primary.status();
   uint8_t outcome = 0;
   uint64_t commit_ts = 0;
-  const Status resolved =
-      primary.value()->ResolveIntent(gtid, abort_pending, &outcome,
-                                     &commit_ts);
-  if (resolved.code() == StatusCode::kIoError) {
-    pool_->Discard(std::move(primary.value()));
-  } else {
-    pool_->Release(primary_shard, std::move(primary.value()));
+  {
+    auto primary = pool_->Acquire(primary_shard);
+    if (!primary.ok()) return primary.status();
+    ANKER_RETURN_IF_ERROR(primary.value()->ResolveIntent(
+        gtid, abort_pending, &outcome, &commit_ts));
   }
-  if (!resolved.ok()) return resolved;
   if (outcome == 0) return Status::OK();  // Still undecided.
   *decided = true;
   intent_resolutions_.fetch_add(1);
@@ -439,66 +388,31 @@ Status RouterCore::ResolveIntentOnce(uint64_t gtid, size_t primary_shard,
                       : holder->AbortPrepared(gtid);
 }
 
-int RouterCore::ShardForWrites(const std::vector<server::PointWrite>& writes,
-                               std::string* out) {
-  int shard = -1;
-  for (const server::PointWrite& write : writes) {
-    const std::string* partition_key = map_->PartitionKey(write.table);
-    if (partition_key == nullptr) {
-      RespondError(WireError::kNotSupported,
-                   "writes to replicated tables are not routable (every "
-                   "shard holds a copy); load them out of band",
-                   out);
-      return -1;
-    }
-    if (!write.by_key) {
-      RespondError(WireError::kNotSupported,
-                   "row ids are shard-local; address partitioned tables "
-                   "by key through the router",
-                   out);
-      return -1;
-    }
-    const int owner = static_cast<int>(map_->ShardFor(write.key));
-    if (shard == -1) shard = owner;
-    if (owner != shard) {
-      RespondError(WireError::kNotSupported,
-                   "transaction spans shards " + std::to_string(shard) +
-                       " and " + std::to_string(owner) +
-                       "; cross-shard 2PC is not supported yet",
-                   out);
-      return -1;
-    }
-  }
-  return shard;
-}
-
 bool RouterCore::EnsurePinned(SessionState* session, size_t shard,
                               std::string* out) {
-  if (session->txn_client != nullptr) {
-    if (session->pinned_shard == static_cast<int>(shard)) return true;
+  if (session->txn) {
+    if (shard == kAnyShard || session->txn.shard() == shard) return true;
     RespondError(WireError::kNotSupported,
                  "transaction is pinned to shard " +
-                     std::to_string(session->pinned_shard) +
+                     std::to_string(session->txn.shard()) +
                      " but this operation belongs to shard " +
                      std::to_string(shard) +
-                     "; cross-shard 2PC is not supported yet",
+                     "; send cross-shard writes as one EXEC_TXN",
                  out);
     return false;
   }
-  auto client = pool_->Acquire(shard);
-  if (!client.ok()) {
-    RespondStatus(client.status(), out);
+  auto lease = shard == kAnyShard ? AcquireAny() : pool_->Acquire(shard);
+  if (!lease.ok()) {
+    RespondStatus(lease.status(), out);
     return false;
   }
-  auto begun = client.value()->RoundTrip(OpOnly(Op::kBegin));
+  auto begun = lease.value()->RoundTrip(OpOnly(Op::kBegin));
   if (!begun.ok() || !IsOkResponse(begun.value())) {
-    pool_->Discard(std::move(client.value()));
     RespondError(WireError::kResourceBusy, "shard refused transaction open",
                  out);
     return false;
   }
-  session->pinned_shard = static_cast<int>(shard);
-  session->txn_client = std::move(client.value());
+  session->txn = std::move(lease.value());
   return true;
 }
 
@@ -520,40 +434,34 @@ void RouterCore::HandleExecTxn(
     server::EncodeFrame(response, out);
     return;
   }
-  std::vector<std::pair<size_t, std::vector<server::PointWrite>>> groups;
+  WriteGroups groups;
   if (!PartitionWrites(writes, &groups, out)) return;
   if (groups.size() > 1) {
     TwoPhaseCommit(groups, out);
     return;
   }
-  const size_t shard = groups.front().first;
-  auto client = pool_->Acquire(shard);
-  if (!client.ok()) {
-    RespondStatus(client.status(), out);
+  auto lease = pool_->Acquire(groups.front().first);
+  if (!lease.ok()) {
+    RespondStatus(lease.status(), out);
     return;
   }
   // The pass-through fast path: the ORIGINAL request bytes go to the
   // owning shard and its response comes back verbatim — one
   // router->shard round trip, no re-encode.
-  if (ForwardVerbatim(client.value().get(), payload, out)) {
-    pool_->Release(shard, std::move(client.value()));
+  if (ForwardVerbatim(lease.value().get(), payload, out)) {
     passthrough_txns_.fetch_add(1);
   } else {
-    pool_->Discard(std::move(client.value()));
     RespondStatus(Status::IoError(
                       "shard connection lost; transaction outcome unknown"),
                   out);
   }
 }
 
-bool RouterCore::PartitionWrites(
-    const std::vector<server::PointWrite>& writes,
-    std::vector<std::pair<size_t, std::vector<server::PointWrite>>>* groups,
-    std::string* out) {
+bool RouterCore::PartitionWrites(const std::vector<server::PointWrite>& writes,
+                                 WriteGroups* groups, std::string* out) {
   groups->clear();
   for (const server::PointWrite& write : writes) {
-    const std::string* partition_key = map_->PartitionKey(write.table);
-    if (partition_key == nullptr) {
+    if (map_->PartitionKey(write.table) == nullptr) {
       RespondError(WireError::kNotSupported,
                    "writes to replicated tables are not routable (every "
                    "shard holds a copy); load them out of band",
@@ -561,10 +469,7 @@ bool RouterCore::PartitionWrites(
       return false;
     }
     if (!write.by_key) {
-      RespondError(WireError::kNotSupported,
-                   "row ids are shard-local; address partitioned tables "
-                   "by key through the router",
-                   out);
+      RespondError(WireError::kNotSupported, kRowIdRefusal, out);
       return false;
     }
     const size_t owner = map_->ShardFor(write.key);
@@ -586,144 +491,98 @@ bool RouterCore::PartitionWrites(
   return true;
 }
 
-void RouterCore::AbortPreparedFanout(
-    uint64_t gtid,
-    const std::vector<std::pair<size_t, std::vector<server::PointWrite>>>&
-        groups) {
+void RouterCore::AbortPreparedFanout(uint64_t gtid,
+                                     const WriteGroups& groups) {
   // Best-effort: every participant gets ABORT_PREPARED. A shard whose
   // prepare never landed fences the gtid with a durable tombstone, so a
   // delayed PREPARE_TXN racing this abort is refused rather than
   // resurrecting the transaction. Unreachable shards are left for lazy
   // reader-driven resolution.
-  for (const auto& [shard, writes] : groups) {
-    (void)writes;
-    auto client = pool_->Acquire(shard);
-    if (!client.ok()) continue;
-    const Status aborted = client.value()->AbortPrepared(gtid);
-    if (aborted.ok() || aborted.code() != StatusCode::kIoError) {
-      pool_->Release(shard, std::move(client.value()));
-    } else {
-      pool_->Discard(std::move(client.value()));
-    }
+  for (const auto& group : groups) {
+    auto lease = pool_->Acquire(group.first);
+    if (lease.ok()) (void)lease.value()->AbortPrepared(gtid);
   }
 }
 
-void RouterCore::TwoPhaseCommit(
-    const std::vector<std::pair<size_t, std::vector<server::PointWrite>>>&
-        groups,
-    std::string* out) {
+void RouterCore::TwoPhaseCommit(const WriteGroups& groups, std::string* out) {
   anker::FaultInjector& faults = anker::FaultInjector::Instance();
   const uint64_t gtid = gtid_base_ + gtid_counter_.fetch_add(1) + 1;
   const uint32_t primary_shard = static_cast<uint32_t>(groups.front().first);
 
   // Phase one: stage durable write intents on every participant. Each
-  // ack carries the shard's prepare stamp, folded into the HLC.
-  std::vector<std::unique_ptr<server::Client>> clients(groups.size());
+  // ack carries the shard's prepare stamp, folded into the oracle.
+  std::vector<BackendPool::Lease> leases;
+  leases.reserve(groups.size());
   uint64_t max_prepare_ts = 0;
-  for (size_t i = 0; i < groups.size(); ++i) {
-    const auto& [shard, writes] = groups[i];
+  for (const auto& [shard, writes] : groups) {
     auto acquired = pool_->Acquire(shard);
     Status prepared = acquired.status();
+    uint64_t prepare_ts = 0;
     if (prepared.ok()) {
-      clients[i] = std::move(acquired.value());
-      uint64_t prepare_ts = 0;
-      int backoff_millis = config_.busy_backoff_initial_millis;
-      for (int attempt = 0;; ++attempt) {
-        // PREPARE_TXN is idempotent (a duplicate staged gtid acks OK),
-        // so BUSY — emitted before the shard does any work — retries
-        // the same way every other forwarded op does.
-        prepared = clients[i]->PrepareTxn(gtid, primary_shard, writes,
-                                          &prepare_ts, nullptr);
-        if (prepared.code() != StatusCode::kResourceBusy ||
-            attempt >= config_.busy_retry_budget) {
-          break;
-        }
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(backoff_millis));
-        backoff_millis =
-            std::min(backoff_millis * 2, config_.busy_backoff_max_millis);
-      }
-      if (prepared.ok()) max_prepare_ts = std::max(max_prepare_ts, prepare_ts);
+      leases.push_back(std::move(acquired.value()));
+      prepared = leases.back()->PrepareTxn(gtid, primary_shard, writes,
+                                           &prepare_ts, nullptr);
     }
     if (!prepared.ok()) {
       // Unwind: nothing is decided until the primary's COMMIT_PREPARED
-      // is durable, so aborting here is always correct.
-      for (size_t j = 0; j < clients.size(); ++j) {
-        if (clients[j] == nullptr) continue;
-        pool_->Release(groups[j].first, std::move(clients[j]));
-      }
+      // is durable, so aborting here is always correct. The leases go
+      // back first so the fan-out reuses their connections.
+      leases.clear();
       AbortPreparedFanout(gtid, groups);
       RespondStatus(
           prepared.code() == StatusCode::kIoError
-              ? Status::ResourceBusy("shard " +
-                                     std::to_string(groups[i].first) +
+              ? Status::ResourceBusy("shard " + std::to_string(shard) +
                                      " unreachable during prepare; "
                                      "transaction aborted")
               : prepared,
           out);
       return;
     }
+    max_prepare_ts = std::max(max_prepare_ts, prepare_ts);
     faults.MaybeKill("2pc.prepare.post");
   }
 
-  // Decision: one HLC stamp above every prepare stamp. Nothing durable
+  // Decision: one stamp above every prepare stamp. Nothing durable
   // records it yet — a crash before the primary's ack below aborts the
   // transaction (lazy resolution escalates undecided intents to abort).
-  const uint64_t commit_ts = oracle_.CommitStamp(max_prepare_ts);
+  oracle_.AdvanceTo(max_prepare_ts);
+  const uint64_t commit_ts = oracle_.Next();
 
   // Phase two: the primary shard (groups.front()) is the commit point —
   // its durable COMMIT_PREPARED record decides the transaction. The
   // remaining participants are then told best-effort; any that miss the
   // memo are healed by reader-driven resolution through the primary.
   uint64_t primary_lsn = 0;
-  for (size_t i = 0; i < groups.size(); ++i) {
+  for (size_t i = 0; i < leases.size(); ++i) {
     faults.MaybeKill("2pc.commit.pre");
     uint64_t lsn = 0;
-    Status committed = Status::OK();
-    int backoff_millis = config_.busy_backoff_initial_millis;
-    for (int attempt = 0;; ++attempt) {
-      committed = clients[i]->CommitPrepared(gtid, commit_ts, &lsn);
-      if (committed.code() != StatusCode::kResourceBusy ||
-          attempt >= config_.busy_retry_budget) {
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_millis));
-      backoff_millis =
-          std::min(backoff_millis * 2, config_.busy_backoff_max_millis);
-    }
-    if (committed.code() == StatusCode::kIoError) {
-      pool_->Discard(std::move(clients[i]));
-    }
-    if (i == 0) {
-      if (!committed.ok()) {
-        // The commit point did not ack. Transport loss leaves the
-        // outcome genuinely unknown (the record may be durable), so
-        // intents stay for lazy resolution; a clean refusal means the
-        // transaction never committed — unwind it.
-        for (size_t j = 1; j < clients.size(); ++j) {
-          if (clients[j] != nullptr) {
-            pool_->Release(groups[j].first, std::move(clients[j]));
-          }
-        }
-        if (committed.code() == StatusCode::kIoError) {
-          RespondStatus(
-              Status::IoError("primary shard connection lost; "
-                              "transaction outcome unknown"),
-              out);
-        } else {
-          AbortPreparedFanout(gtid, groups);
-          RespondStatus(committed, out);
-        }
-        return;
-      }
-      primary_lsn = lsn;
-    }
-    if (clients[i] != nullptr) {
-      pool_->Release(groups[i].first, std::move(clients[i]));
-    }
+    const Status committed = leases[i]->CommitPrepared(gtid, commit_ts, &lsn);
     // A failed secondary after the primary's ack does NOT fail the
     // transaction — it is committed; the straggler's intents resolve
     // lazily.
+    if (i > 0) continue;
+    if (committed.ok()) {
+      primary_lsn = lsn;
+      continue;
+    }
+    leases.clear();
+    // Only an answer proving the primary did not commit allows the
+    // unwind. Anything else — a lost connection, a sync-ack "commit
+    // uncertain" (the record IS durable on the primary), BUSY — leaves
+    // the outcome unknown to this router: the intents stay for lazy
+    // resolution, which asks the primary.
+    if (committed.code() == StatusCode::kAborted ||
+        committed.code() == StatusCode::kNotFound) {
+      AbortPreparedFanout(gtid, groups);
+      RespondStatus(committed, out);
+    } else {
+      RespondStatus(Status::IoError("primary shard did not confirm the "
+                                    "commit (" +
+                                    committed.message() +
+                                    "); transaction outcome unknown"),
+                    out);
+    }
+    return;
   }
 
   twopc_txns_.fetch_add(1);
@@ -751,14 +610,11 @@ void RouterCore::HandleQuery(const server::QueryMsg& msg, std::string* out) {
       RespondStatus(any.status(), out);
       return;
     }
-    auto result = any.value().second->Query(msg.query, msg.params);
+    auto result = any.value()->Query(msg.query, msg.params);
     if (!result.ok()) {
-      // The client may be poisoned (mid-stream failure); drop it.
-      pool_->Discard(std::move(any.value().second));
       RespondStatus(result.status(), out);
       return;
     }
-    pool_->Release(any.value().first, std::move(any.value().second));
     server::EncodeQueryResultFrames(result.value(), out);
     single_shard_queries_.fetch_add(1);
     return;
@@ -768,28 +624,20 @@ void RouterCore::HandleQuery(const server::QueryMsg& msg, std::string* out) {
   std::vector<query::QueryResult> parts;
   uint32_t skipped = 0;
   for (size_t shard = 0; shard < pool_->num_shards(); ++shard) {
-    auto client = pool_->Acquire(shard);
-    if (!client.ok()) {
-      if (config_.allow_partial) {
-        ++skipped;  // Merge over the live subset.
-        continue;
-      }
-      RespondStatus(client.status(), out);
-      return;
-    }
-    auto result = client.value()->Query(plan.shard_query, msg.params);
+    auto lease = pool_->Acquire(shard);
+    auto result = lease.ok()
+                      ? lease.value()->Query(plan.shard_query, msg.params)
+                      : Result<query::QueryResult>(lease.status());
     if (!result.ok()) {
-      pool_->Discard(std::move(client.value()));
       const StatusCode code = result.status().code();
       if (config_.allow_partial && (code == StatusCode::kIoError ||
                                     code == StatusCode::kResourceBusy)) {
-        ++skipped;  // Shard died mid-query / is overloaded: skip it.
+        ++skipped;  // Shard down, died mid-query or overloaded: skip it.
         continue;
       }
       RespondStatus(result.status(), out);
       return;
     }
-    pool_->Release(shard, std::move(client.value()));
     parts.push_back(std::move(result.value()));
   }
   if (parts.empty()) {
@@ -815,21 +663,19 @@ void RouterCore::HandleFanout(const std::string& payload, std::string* out) {
   // All shards must apply DDL/loads: a partial fan-out would fork the
   // replicated schema, so the first unreachable shard fails the op.
   for (size_t shard = 0; shard < pool_->num_shards(); ++shard) {
-    auto client = pool_->Acquire(shard);
-    if (!client.ok()) {
-      RespondStatus(client.status(), out);
+    auto lease = pool_->Acquire(shard);
+    if (!lease.ok()) {
+      RespondStatus(lease.status(), out);
       return;
     }
-    auto response = client.value()->RoundTrip(payload);
+    auto response = lease.value()->RoundTrip(payload);
     if (!response.ok()) {
-      pool_->Discard(std::move(client.value()));
       RespondError(WireError::kResourceBusy,
                    "shard " + std::to_string(shard) +
                        " connection lost during fan-out",
                    out);
       return;
     }
-    pool_->Release(shard, std::move(client.value()));
     if (!IsOkResponse(response.value())) {
       // First failure wins; its response travels back verbatim.
       server::EncodeFrame(response.value(), out);
@@ -847,26 +693,15 @@ void RouterCore::HandleListTables(const std::string& payload,
     RespondStatus(any.status(), out);
     return;
   }
-  if (ForwardVerbatim(any.value().second.get(), payload, out)) {
-    pool_->Release(any.value().first, std::move(any.value().second));
-  } else {
-    pool_->Discard(std::move(any.value().second));
+  if (!ForwardVerbatim(any.value().get(), payload, out)) {
     RespondError(WireError::kResourceBusy, "shard connection lost", out);
   }
 }
 
 void RouterCore::AbandonSession(SessionState* session) {
-  if (session->txn_client != nullptr) {
-    auto aborted = session->txn_client->RoundTrip(OpOnly(Op::kAbort));
-    if (aborted.ok() && IsOkResponse(aborted.value())) {
-      pool_->Release(static_cast<size_t>(session->pinned_shard),
-                     std::move(session->txn_client));
-    } else {
-      pool_->Discard(std::move(session->txn_client));
-    }
-  }
+  if (session->txn) (void)session->txn->RoundTrip(OpOnly(Op::kAbort));
+  session->txn = {};
   session->in_txn = false;
-  session->pinned_shard = -1;
 }
 
 server::RouterStatusOkMsg RouterCore::StatusSnapshot() {

@@ -5,23 +5,40 @@
 // request payload in, response frame(s) out. Kept free of sockets and
 // epoll so tests can drive it directly against in-process shards.
 //
+// Backend I/O: every router->shard call is a Client call on a
+// BackendPool::Lease. Client::RoundTrip owns the one BUSY rule: an
+// admission BUSY (the opcode, emitted before the shard runs anything)
+// is re-sent under RouterCoreConfig's busy_* policy, which the core
+// installs on its pool; every other answer — an ERR carrying
+// kResourceBusy such as an intent conflict or a sync-ack "commit
+// uncertain" included — comes back at once. QUERY streams through
+// Client::Query, which sends once: a shard's BUSY on a query surfaces
+// as kResourceBusy (allow_partial skips that shard). The lease returns
+// its connection to the pool, or closes it when its transport failed.
+//
 // Routing rules (docs/SERVER.md has the client-facing contract):
 //  - EXEC_TXN: decoded just far enough to find the owning shard(s).
 //    Single-shard batches forward the ORIGINAL payload bytes verbatim —
 //    one router->shard round trip (the pass-through fast path, counted
 //    in passthrough_txns). Batches spanning shards run intent-based 2PC
 //    (counted in twopc_txns): PREPARE_TXN fan-out stages durable write
-//    intents on every participant, the router's TimestampOracle folds
-//    the prepare stamps into one HLC commit stamp, and COMMIT_PREPARED
-//    lands on the primary shard (lowest participating index — the
-//    durable commit point) before fanning to the rest. A router death
-//    mid-protocol leaves intents that readers resolve lazily through
-//    the primary (see HandleRead). Writes touching replicated tables
-//    are still refused.
+//    intents on every participant, the router's mvcc::TimestampOracle
+//    folds the prepare stamps into one commit stamp, and
+//    COMMIT_PREPARED lands on the primary shard (lowest participating
+//    index — the durable commit point) before fanning to the rest. The
+//    participants are aborted only when the primary's answer proves it
+//    did not commit (kAborted / kNotFound); any other failure reports
+//    "outcome unknown" and leaves the intents to lazy resolution. A
+//    router death mid-protocol leaves intents that readers resolve
+//    lazily through the primary (see HandleRead). Writes touching
+//    replicated tables are refused.
 //  - BEGIN is acknowledged locally; the session pins to the shard that
-//    owns the first keyed operation, and every later op in the
-//    transaction must land on the same shard. COMMIT/ABORT forward to
-//    the pinned shard (an untouched transaction commits locally).
+//    owns the first keyed operation (a replicated-table read pins to
+//    any healthy shard), and every later op in the transaction must
+//    land on the same shard — cross-shard writes belong in one
+//    EXEC_TXN. COMMIT/ABORT forward to the pinned shard (an untouched
+//    transaction commits locally); a COMMIT answered BUSY leaves the
+//    transaction open for the client to retry.
 //  - READ outside a transaction routes to the owning shard
 //    (replicated tables: any healthy shard). Row-id addressing is
 //    refused for partitioned tables — row ids are shard-local.
@@ -46,16 +63,16 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/macros.h"
 #include "common/status.h"
-#include "server/client.h"
+#include "mvcc/timestamp_oracle.h"
 #include "server/protocol.h"
 #include "shard/backend_pool.h"
 #include "shard/shard_map.h"
-#include "shard/timestamp_oracle.h"
 
 namespace anker::shard {
 
@@ -64,10 +81,11 @@ struct RouterCoreConfig {
   /// true = merge over the reachable shards (results may under-count;
   /// the skipped-shard count travels back in QUERY_DONE).
   bool allow_partial = false;
-  /// Router-side retry budget for shard BUSY responses, mirroring the
-  /// client's RetryPolicy (the pooled backend clients keep budget 0 so
-  /// the router owns the policy). BUSY is emitted before the shard runs
-  /// an operation, so re-sending is always safe. 0 = surface BUSY.
+  /// Retry policy for shard BUSY responses, installed on every pooled
+  /// backend connection (Client::RoundTrip applies it). BUSY is emitted
+  /// by admission control before the shard runs an operation, so
+  /// re-sending is always safe; no other answer is re-sent. 0 = surface
+  /// BUSY at once. The backoff also paces intent-resolution retries.
   int busy_retry_budget = 4;
   int busy_backoff_initial_millis = 5;
   int busy_backoff_max_millis = 200;
@@ -83,13 +101,13 @@ class RouterCore {
   /// the one-request-at-a-time session discipline serializes access.
   struct SessionState {
     bool in_txn = false;
-    /// Shard owning the open transaction; -1 until the first keyed op.
-    int pinned_shard = -1;
-    /// Live backend connection holding the open transaction.
-    std::unique_ptr<server::Client> txn_client;
+    /// Backend connection holding the open transaction (txn.shard() is
+    /// the pinned shard); empty until the first keyed op.
+    BackendPool::Lease txn;
   };
 
-  /// `map` and `pool` must outlive the core.
+  /// `map` and `pool` must outlive the core. Installs the config's BUSY
+  /// policy on `pool`.
   RouterCore(const ShardMap* map, BackendPool* pool,
              RouterCoreConfig config);
   ANKER_DISALLOW_COPY_AND_MOVE(RouterCore);
@@ -112,6 +130,12 @@ class RouterCore {
   const ShardMap& map() const { return *map_; }
 
  private:
+  /// Writes split by owning shard, ascending shard index.
+  using WriteGroups =
+      std::vector<std::pair<size_t, std::vector<server::PointWrite>>>;
+  /// EnsurePinned's "any healthy shard".
+  static constexpr size_t kAnyShard = ~size_t{0};
+
   void HandleTxnOp(SessionState* session, server::Op op,
                    const std::string& payload, std::string* out);
   void HandleRead(SessionState* session, const server::PointReadMsg& msg,
@@ -124,32 +148,20 @@ class RouterCore {
   void HandleFanout(const std::string& payload, std::string* out);
   void HandleListTables(const std::string& payload, std::string* out);
 
-  /// Owning shard for a batch of writes; negative = refused (response
-  /// already appended).
-  int ShardForWrites(const std::vector<server::PointWrite>& writes,
-                     std::string* out);
   /// Splits a write batch by owning shard. False = refused (replicated
   /// table or row-id addressing; response already appended).
-  bool PartitionWrites(
-      const std::vector<server::PointWrite>& writes,
-      std::vector<std::pair<size_t, std::vector<server::PointWrite>>>* groups,
-      std::string* out);
+  bool PartitionWrites(const std::vector<server::PointWrite>& writes,
+                       WriteGroups* groups, std::string* out);
   /// Runs a multi-shard EXEC_TXN as intent-based 2PC.
-  void TwoPhaseCommit(
-      const std::vector<std::pair<size_t, std::vector<server::PointWrite>>>&
-          groups,
-      std::string* out);
+  void TwoPhaseCommit(const WriteGroups& groups, std::string* out);
   /// Best-effort ABORT_PREPARED fan-out to `groups` (phase-one unwind).
   /// Unknown gtids are fenced with durable tombstones, so shards whose
   /// prepare never arrived are safe to abort too.
-  void AbortPreparedFanout(
-      uint64_t gtid,
-      const std::vector<std::pair<size_t, std::vector<server::PointWrite>>>&
-          groups);
+  void AbortPreparedFanout(uint64_t gtid, const WriteGroups& groups);
   /// Forwards a READ, resolving kIntentPending responses through the
   /// intent's primary shard (lazy resolution for dead coordinators)
   /// and retrying. Same contract as ForwardVerbatim.
-  bool ForwardReadResolving(server::Client* client, size_t shard,
+  bool ForwardReadResolving(server::Client* client,
                             const std::string& payload, std::string* out);
   /// One resolution round: asks `primary_shard` for the outcome of
   /// `gtid` and applies it at `holder` (the shard whose intent blocked
@@ -157,17 +169,22 @@ class RouterCore {
   Status ResolveIntentOnce(uint64_t gtid, size_t primary_shard,
                            server::Client* holder, bool abort_pending,
                            bool* decided);
-  /// Pins `session` to `shard`, opening the backend transaction.
-  /// False = refused/failed (response already appended).
+  /// Pins `session` to `shard` (kAnyShard: any healthy shard), opening
+  /// the backend transaction; a session already pinned elsewhere is
+  /// refused. False = refused/failed (response already appended).
   bool EnsurePinned(SessionState* session, size_t shard, std::string* out);
+  /// The pinned connection was lost mid-transaction: the shard aborted
+  /// the transaction, so the session leaves it and the client hears
+  /// BUSY.
+  void LoseTxn(SessionState* session, std::string* out);
   /// Round-trips `payload` on `client`, forwarding the raw response
-  /// verbatim. False on transport failure (client is poisoned — the
-  /// caller must discard it; a BUSY/error response is still `true`).
+  /// verbatim. False on transport failure (a BUSY/error response is
+  /// still `true`).
   bool ForwardVerbatim(server::Client* client, const std::string& payload,
                        std::string* out);
   /// Acquires any healthy shard, round-robin so any-shard traffic
   /// (replicated reads, single-shard queries) spreads the load.
-  Result<std::pair<size_t, std::unique_ptr<server::Client>>> AcquireAny();
+  Result<BackendPool::Lease> AcquireAny();
 
   void RespondStatus(const Status& status, std::string* out);
   void RespondError(server::WireError code, const std::string& message,
@@ -187,8 +204,12 @@ class RouterCore {
   std::atomic<uint64_t> twopc_txns_{0};
   std::atomic<uint64_t> intent_resolutions_{0};
 
-  /// HLC for cross-shard commit stamps (see timestamp_oracle.h).
-  TimestampOracle oracle_;
+  /// Cross-shard commit stamps: AdvanceTo(max prepare stamp) then Next()
+  /// is strictly above every participant's prepare stamp and every
+  /// stamp this router issued before. The stamp is metadata, not a
+  /// global serialization point: each shard applies the writes at its
+  /// own local stamp, and intents gate readers until phase two lands.
+  mvcc::TimestampOracle oracle_;
   /// Global transaction ids: wall-clock-seeded base + counter. A
   /// collision with a fenced gtid from a previous router incarnation is
   /// refused by the shard's tombstone and surfaces as a retryable

@@ -3,7 +3,6 @@
 #include <sys/mman.h>
 
 #include <cerrno>
-#include <cstring>
 
 #include "vm/page.h"
 
@@ -12,14 +11,6 @@
 #endif
 
 namespace anker::vm {
-
-namespace {
-
-Status ErrnoStatus(const char* what) {
-  return Status::IoError(std::string(what) + ": " + std::strerror(errno));
-}
-
-}  // namespace
 
 MapRegion::~MapRegion() {
   if (addr_ != nullptr) ::munmap(addr_, size_);
@@ -46,7 +37,7 @@ Result<MapRegion> MapRegion::MapAnonymous(size_t size) {
   const size_t rounded = RoundUpToPage(size);
   void* addr = ::mmap(nullptr, rounded, PROT_READ | PROT_WRITE,
                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (addr == MAP_FAILED) return ErrnoStatus("mmap(anonymous)");
+  if (addr == MAP_FAILED) return Status::IoErrorFromErrno("mmap(anonymous)");
   return MapRegion(addr, rounded);
 }
 
@@ -54,7 +45,7 @@ Result<MapRegion> MapRegion::MapSharedFile(int fd, size_t size, off_t offset,
                                            int prot) {
   const size_t rounded = RoundUpToPage(size);
   void* addr = ::mmap(nullptr, rounded, prot, MAP_SHARED, fd, offset);
-  if (addr == MAP_FAILED) return ErrnoStatus("mmap(shared file)");
+  if (addr == MAP_FAILED) return Status::IoErrorFromErrno("mmap(shared file)");
   return MapRegion(addr, rounded);
 }
 
@@ -62,14 +53,14 @@ Result<MapRegion> MapRegion::MapPrivateFile(int fd, size_t size, off_t offset,
                                             int prot) {
   const size_t rounded = RoundUpToPage(size);
   void* addr = ::mmap(nullptr, rounded, prot, MAP_PRIVATE, fd, offset);
-  if (addr == MAP_FAILED) return ErrnoStatus("mmap(private file)");
+  if (addr == MAP_FAILED) return Status::IoErrorFromErrno("mmap(private file)");
   return MapRegion(addr, rounded);
 }
 
 Status MapRegion::MapFixedShared(void* addr, int fd, size_t size, off_t offset,
                                  int prot) {
   void* got = ::mmap(addr, size, prot, MAP_SHARED | MAP_FIXED, fd, offset);
-  if (got == MAP_FAILED) return ErrnoStatus("mmap(fixed shared)");
+  if (got == MAP_FAILED) return Status::IoErrorFromErrno("mmap(fixed shared)");
   ANKER_CHECK(got == addr);
   return Status::OK();
 }
@@ -77,7 +68,7 @@ Status MapRegion::MapFixedShared(void* addr, int fd, size_t size, off_t offset,
 Status MapRegion::MapFixedPrivate(void* addr, int fd, size_t size,
                                   off_t offset, int prot) {
   void* got = ::mmap(addr, size, prot, MAP_PRIVATE | MAP_FIXED, fd, offset);
-  if (got == MAP_FAILED) return ErrnoStatus("mmap(fixed private)");
+  if (got == MAP_FAILED) return Status::IoErrorFromErrno("mmap(fixed private)");
   ANKER_CHECK(got == addr);
   return Status::OK();
 }
@@ -88,7 +79,7 @@ Status MapRegion::ProtectRange(size_t offset, size_t len, int prot) {
   ANKER_CHECK(IsPageAligned(offset) && IsPageAligned(len));
   ANKER_CHECK(offset + len <= size_);
   if (::mprotect(data() + offset, len, prot) != 0) {
-    return ErrnoStatus("mprotect");
+    return Status::IoErrorFromErrno("mprotect");
   }
   return Status::OK();
 }
@@ -97,14 +88,16 @@ Status MapRegion::DontNeed(size_t offset, size_t len) {
   ANKER_CHECK(IsPageAligned(offset) && IsPageAligned(len));
   ANKER_CHECK(offset + len <= size_);
   if (::madvise(data() + offset, len, MADV_DONTNEED) != 0) {
-    return ErrnoStatus("madvise(DONTNEED)");
+    return Status::IoErrorFromErrno("madvise(DONTNEED)");
   }
   return Status::OK();
 }
 
 Status MapRegion::PopulateRead() {
   if (::madvise(addr_, size_, MADV_POPULATE_READ) == 0) return Status::OK();
-  if (errno != EINVAL) return ErrnoStatus("madvise(POPULATE_READ)");
+  if (errno != EINVAL) {
+    return Status::IoErrorFromErrno("madvise(POPULATE_READ)");
+  }
   // Kernels before 5.14 lack the advice: read-fault every page instead.
   for (size_t offset = 0; offset < size_; offset += kPageSize) {
     (void)*static_cast<volatile const uint8_t*>(data() + offset);

@@ -362,6 +362,17 @@ TEST_F(ReplicationE2eTest, SyncAckGatesCommitsOnReplicaDurability) {
   EXPECT_EQ(read_back.value(), storage::EncodeInt64(6));
 }
 
+TEST_F(ReplicationE2eTest, FetchBeforeAnyCheckpointIsRefused) {
+  StartPrimary();
+  auto primary = Dial(primary_server_->port());
+  ASSERT_NE(primary, nullptr);
+  // The refusal arrives in place of the chunk stream and surfaces as
+  // the primary's status; the connection stays usable.
+  const Status early = FetchCheckpointInto(primary.get(), dir_ + "/early");
+  EXPECT_EQ(early.code(), StatusCode::kNotFound) << early.ToString();
+  EXPECT_TRUE(primary->Ping().ok());
+}
+
 TEST_F(ReplicationE2eTest, DecommissionReleasesDepartedReplicaRetention) {
   StartPrimary();
   auto primary = Dial(primary_server_->port());

@@ -368,12 +368,23 @@ TEST_F(Router2pcTest, PrepareFailureUnwindsStagedIntents) {
                                {BalanceWrite(on_secondary, 1)})
                   .ok());
 
+  // Warm the router's pool with a shard-1 connection, so the frames
+  // shard 1 receives below are the transfer's requests and no HELLO.
+  ASSERT_TRUE(client_->Read("acct", "balance", shard_keys_[1][2],
+                            /*by_key=*/true)
+                  .ok());
+  const uint64_t frames_before = servers_[1]->stats().frames_received;
+
   // The router prepares shard 0 first (lowest index), then shard 1
   // refuses: the transfer fails and the router must abort the intent it
   // already staged on shard 0.
   const Status failed = client_->ExecTxn(
       {BalanceWrite(on_primary, 900), BalanceWrite(on_secondary, 1100)});
   ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.code(), StatusCode::kResourceBusy) << failed.ToString();
+  // An intent conflict is an answer, not admission BUSY: the PREPARE is
+  // sent once, followed by the unwinding ABORT_PREPARED.
+  EXPECT_EQ(servers_[1]->stats().frames_received - frames_before, 2u);
 
   // A direct read never resolves intents, so it succeeds only if the
   // unwind already removed shard 0's intent: the balance is unchanged.

@@ -152,6 +152,17 @@ TEST_F(RouterE2eTest, FanoutReachesEveryShardAndRefusesPartitionedDdl) {
     EXPECT_TRUE(tables.value()[0].has_primary_index);
   }
 
+  // Inside a transaction a replicated-table read pins the session to
+  // any healthy shard; later reads stay on it.
+  ASSERT_TRUE(client_->Begin().ok());
+  auto in_txn = client_->Read("dim", "w", 1);
+  ASSERT_TRUE(in_txn.ok()) << in_txn.status().ToString();
+  EXPECT_EQ(in_txn.value(), storage::EncodeDouble(1.0));
+  auto again = client_->Read("dim", "w", 3);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again.value(), storage::EncodeDouble(2.0));
+  ASSERT_TRUE(client_->Commit().ok());
+
   // Replicated-only query: served by ONE shard, not scattered.
   query::WireQuery sum;
   sum.table = "dim";
@@ -234,6 +245,12 @@ TEST_F(RouterE2eTest, SingleShardTxnsPassThroughAndCrossShardIsRefused) {
                                        storage::EncodeDouble(1.0),
                                        /*by_key=*/true);
   EXPECT_EQ(pinned.code(), StatusCode::kNotSupported);
+  // So is one batch spanning both shards; an empty batch writes nothing.
+  server::PointWrite other = batch[0];
+  other.key = theirs;
+  const Status spans = client_->WriteBatch({batch[0], other});
+  EXPECT_EQ(spans.code(), StatusCode::kNotSupported);
+  ASSERT_TRUE(client_->WriteBatch({}).ok());
   ASSERT_TRUE(client_->Commit().ok());
   auto committed = client_->Read("part", "val", mine, /*by_key=*/true);
   ASSERT_TRUE(committed.ok());

@@ -19,7 +19,8 @@
 // every shard, queries scatter-gather with router-side merging.
 // --allow_partial=1 lets queries answer from the reachable subset while
 // a shard is down (writes to a down shard always surface as BUSY;
-// --busy_retries/--busy_backoff_ms shape the router's own retry loop).
+// --busy_retries/--busy_backoff_ms set how often the router re-sends a
+// shard's admission BUSY before passing it on).
 //
 // SIGTERM/SIGINT drains client sessions and exits; the shards it fronts
 // are separate processes and keep running.
